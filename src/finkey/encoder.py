@@ -13,7 +13,9 @@ fires in training mode and draws from an explicit Generator.
 
 ``forward_batch``/``backward_batch`` operate on (batch, seq) id/mask arrays
 and are what the training loops use; ``forward``/``backward`` wrap them for
-a single TokenSequence.
+a single TokenSequence.  ``forward_inference`` is the inference entry point:
+it runs ``forward_batch`` over the real prefix of a batch only;
+``forward_trimmed`` wraps it for a single TokenSequence.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -32,6 +34,8 @@ from scipy.special import erf
 from .tokenizer import TokenSequence
 
 _LN_EPS = 1e-5
+_LENGTH_MULTIPLE = 8  # inference cuts batches to a multiple of this
+_INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -193,12 +197,17 @@ def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.nda
     return _sinusoidal_table(max_len, d_model).astype(dtype)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, return_cdf: bool = False):
+    """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse."""
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    act = x * cdf
+    return (act, cdf) if return_cdf else act
+
+
+def gelu_grad(x: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
+    """d gelu / dx; ``cdf`` is Phi(x) as returned by gelu, if already known."""
+    if cdf is None:
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
@@ -254,16 +263,18 @@ def forward_batch(
     rng: Optional[np.random.Generator] = None,
     cache: Optional[dict] = None,
 ) -> np.ndarray:
-    """Run the encoder over (batch, seq_len) id/mask arrays.
+    """Run the encoder over (batch, T) id/mask arrays, 1 <= T <= max_len.
 
-    Returns the final hidden states, shape (batch, seq_len, d_model).  When
+    Position t gets row t of the position table, so cutting padding off the
+    end of a batch leaves its real positions' inputs unchanged.
+    Returns the final hidden states, shape (batch, T, d_model).  When
     ``cache`` is a dict, the intermediates needed by backward_batch (and the
     per-layer attention probabilities) are recorded into it.
     """
     ids = np.asarray(ids)
-    if ids.ndim != 2 or ids.shape[1] != config.max_len:
-        raise ValueError(f"ids must have shape (batch, {config.max_len})")
-    if ids.max(initial=0) >= config.vocab_size:
+    if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
+        raise ValueError(f"ids must have shape (batch, T) with 1 <= T <= {config.max_len}")
+    if ids.max(initial=0) >= config.vocab_size or ids.min(initial=0) < 0:
         raise ValueError("token id out of range for vocab_size")
     dt = config.np_dtype
     key_real = np.asarray(attn_mask, dtype=bool)
@@ -275,7 +286,7 @@ def forward_batch(
         raise ValueError("training-mode forward with dropout needs an rng")
 
     x = params.embedding[ids].astype(dt, copy=True)
-    x += sinusoidal_positions(config.max_len, config.d_model, dt)[None, :, :]
+    x += sinusoidal_positions(config.max_len, config.d_model, dt)[None, : ids.shape[1], :]
 
     if cache is not None:
         cache["ids"] = ids
@@ -302,7 +313,7 @@ def forward_batch(
             attn = attn * drop1
         h1, ln1_aux = _layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
         ff_pre = h1 @ lp.w1 + lp.b1
-        act = gelu(ff_pre)
+        act, cdf = gelu(ff_pre, return_cdf=True)
         ff = act @ lp.w2 + lp.b2
         drop2 = None
         if use_dropout:
@@ -314,7 +325,7 @@ def forward_batch(
                 {
                     "x_in": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
                     "ctx": ctx, "drop1": drop1, "h1": h1, "ln1_aux": ln1_aux,
-                    "ff_pre": ff_pre, "act": act, "drop2": drop2,
+                    "ff_pre": ff_pre, "cdf": cdf, "act": act, "drop2": drop2,
                     "ln2_aux": ln2_aux,
                 }
             )
@@ -353,7 +364,7 @@ def backward_batch(
         gl.w2 += np.einsum("btf,btd->fd", c["act"], d_ff)
         gl.b2 += d_ff.sum(axis=(0, 1))
         d_act = d_ff @ lp.w2.T
-        d_ff_pre = d_act * gelu_grad(c["ff_pre"])
+        d_ff_pre = d_act * gelu_grad(c["ff_pre"], c["cdf"])
         gl.w1 += np.einsum("btd,btf->df", c["h1"], d_ff_pre)
         gl.b1 += d_ff_pre.sum(axis=(0, 1))
         d_h1 += d_ff_pre @ lp.w1.T
@@ -396,6 +407,52 @@ def backward_batch(
     return grads
 
 
+def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
+    """Positions an inference forward over ``attn_mask`` has to cover.
+
+    The last real position of any row, rounded up to a multiple of 8 and
+    capped at ``max_len``.  The rounding keeps the trimmed forward
+    bit-identical to the full-length one as long as the sums over keys
+    (numpy's softmax normaliser, the BLAS ``probs @ vh`` contraction) add
+    their terms in blocks of 8, so that padded keys only add exact zeros to
+    whole blocks.  A cut at the exact length regroups the terms and moves
+    float32 hidden states by up to about 1e-6.  With OpenBLAS on x86-64, a
+    rounded cut still differed in rare d_head-8 cases, by under 1e-6; at
+    d_head 12 no difference was found.  Other BLAS builds may block the
+    contraction differently.
+    """
+    real = np.flatnonzero(np.asarray(attn_mask, dtype=bool).any(axis=0))
+    last = int(real[-1]) + 1 if real.size else 1
+    return min(max_len, -(-last // _LENGTH_MULTIPLE) * _LENGTH_MULTIPLE)
+
+
+def forward_inference(
+    params: EncoderParams,
+    config: EncoderConfig,
+    ids: np.ndarray,
+    attn_mask: np.ndarray,
+) -> np.ndarray:
+    """Inference-mode hidden states over the real prefix of a batch.
+
+    The batch is cut to ``inference_length`` positions T, one T for all
+    rows, and run through forward_batch in chunks of rows.  Returns shape
+    (batch, T, d_model); the positions cut off are padding in every row and
+    change no real position.
+    """
+    ids = np.asarray(ids)
+    mask = np.asarray(attn_mask)
+    if ids.ndim != 2 or ids.shape[1] > config.max_len:
+        raise ValueError(f"ids must have shape (batch, T) with T <= {config.max_len}")
+    t = inference_length(mask, config.max_len)
+    chunks = [
+        forward_batch(
+            params, config, ids[i : i + _INFERENCE_CHUNK, :t], mask[i : i + _INFERENCE_CHUNK, :t]
+        )
+        for i in range(0, ids.shape[0], _INFERENCE_CHUNK)
+    ]
+    return np.concatenate(chunks, axis=0)
+
+
 def _seq_arrays(seq: TokenSequence):
     ids = np.asarray(seq.ids, dtype=np.int64)[None, :]
     mask = np.asarray(seq.attention_mask, dtype=np.int64)[None, :]
@@ -430,6 +487,18 @@ def forward_cached(
         params, config, *_seq_arrays(seq), training=training, rng=rng, cache=cache
     )
     return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0]), cache
+
+
+def forward_trimmed(
+    params: EncoderParams, config: EncoderConfig, seq: TokenSequence
+) -> PooledOutput:
+    """Inference-mode ``forward`` over the real prefix of one TokenSequence.
+
+    ``token_vecs`` has ``inference_length`` rows instead of max_len; the
+    rows cut off are padding.
+    """
+    hidden = forward_inference(params, config, *_seq_arrays(seq))
+    return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0])
 
 
 def backward(

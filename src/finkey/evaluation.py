@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
+from . import tasks
 from .corpus import Document, Lexicon, SentimentLabel, rule_match_entities
 from .tasks import (
     DEFAULT_MAX_SPAN_LEN,
@@ -213,7 +214,9 @@ def run_pipeline(
     are filtered out.  Stage 2 either votes key entities over the document
     entity list (coarse mode; a lexicon can stand in for missing lists) or
     extracts the tag-conditioned answer span (fine mode).  Results keep the
-    input order even with multiple worker threads.
+    input order even with multiple worker threads.  Each text and each
+    (entity, text) pair is tokenized once per distinct member max_len and
+    shared by the members.
     """
     if mode not in ("coarse", "fine"):
         raise ValueError("mode must be 'coarse' or 'fine'")
@@ -240,8 +243,22 @@ def run_pipeline(
 
     def process(doc: Document) -> tuple[DocResult, dict]:
         counts = {"processed": 1}
+        text = doc.cleaned_text
+        seqs: dict = {}
+
+        def encoded(member: Checkpoint, *segments: str):
+            # All members share one vocabulary, so max_len fixes the encoding.
+            max_len = member.encoder_config.max_len
+            key = (max_len, *segments)
+            if key not in seqs:
+                # Called through the tasks module, like the predictors' own
+                # encoding, so a wrapper set there sees every tokenizer call.
+                encode = tasks.encode_single if len(segments) == 1 else tasks.encode_pair
+                seqs[key] = encode(*segments, member.vocab, max_len)
+            return seqs[key]
+
         voted = vote_sentiment(
-            [m.predict_sentiment(doc.cleaned_text) for m in sentiment_members]
+            [m.predict_sentiment(text, encoded(m, text)) for m in sentiment_members]
         )
         result = DocResult(doc.id, voted.label, voted.prob_negative)
         if voted.label is SentimentLabel.POSITIVE:
@@ -252,7 +269,7 @@ def run_pipeline(
             if mode == "coarse":
                 entities = doc.entity_list
                 if entities is None and lexicon is not None:
-                    entities = rule_match_entities(doc.cleaned_text, lexicon)
+                    entities = rule_match_entities(text, lexicon)
                 if entities is None:
                     raise ValueError("document has no entity list and no lexicon was given")
                 if not entities:
@@ -260,7 +277,7 @@ def run_pipeline(
                     result.key_entities = []
                     return result, counts
                 member_scores = [
-                    [(e, m.score_entity(e, doc.cleaned_text)) for e in entities]
+                    [(e, m.score_entity(e, text, encoded(m, e, text))) for e in entities]
                     for m in matcher_members
                 ]
                 result.key_entities = vote_key_entities(member_scores, match_threshold)
@@ -268,9 +285,7 @@ def run_pipeline(
                 if doc.tag is None:
                     raise ValueError("document has no tag for fine-grained extraction")
                 question = build_question(doc.tag, template)
-                span = mrc_checkpoint.extract_span(
-                    question, doc.cleaned_text, max_span_len
-                )
+                span = mrc_checkpoint.extract_span(question, text, max_span_len)
                 result.span_text = span.text
         except ValueError as exc:
             result.error = str(exc)

@@ -22,9 +22,9 @@ from .corpus import SentimentLabel
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    forward,
+    forward_trimmed,
 )
-from .tokenizer import Vocab, encode_pair, encode_single
+from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single
 
 DEFAULT_TEMPLATE = "Which company involves {tag}?"
 DEFAULT_MAX_SPAN_LEN = 16
@@ -199,13 +199,16 @@ def predict_sentiment(
     vocab: Vocab,
     head: SentimentHead,
     text: str,
+    seq: Optional[TokenSequence] = None,
 ) -> SentimentPrediction:
     """Deterministic single-text sentiment prediction.
 
-    The label is negative exactly when prob_negative >= 0.5.
+    The label is negative exactly when prob_negative >= 0.5.  ``seq`` may
+    hold the text already encoded with ``vocab`` at ``config.max_len``.
     """
-    seq = encode_single(text, vocab, config.max_len)
-    pooled = forward(params, config, seq).sentence_vec
+    if seq is None:
+        seq = encode_single(text, vocab, config.max_len)
+    pooled = forward_trimmed(params, config, seq).sentence_vec
     logits = pooled @ head.w + head.b
     z = logits - logits.max()
     probs = np.exp(z) / np.exp(z).sum()
@@ -223,10 +226,16 @@ def score_entity(
     head: MatchHead,
     entity: str,
     text: str,
+    seq: Optional[TokenSequence] = None,
 ) -> float:
-    """Key-entity probability for one (entity, text) pair."""
-    seq = encode_pair(entity, text, vocab, config.max_len)
-    pooled = forward(params, config, seq).sentence_vec
+    """Key-entity probability for one (entity, text) pair.
+
+    ``seq`` may hold the pair already encoded with ``vocab`` at
+    ``config.max_len``.
+    """
+    if seq is None:
+        seq = encode_pair(entity, text, vocab, config.max_len)
+    pooled = forward_trimmed(params, config, seq).sentence_vec
     return float(expit(pooled @ head.w + head.b[0]))
 
 
@@ -306,10 +315,10 @@ def extract_span(
     valid = _context_positions(seq)
     if not valid.any():
         raise ValueError("context empty after truncation")
-    hidden = forward(params, config, seq).token_vecs
+    hidden = forward_trimmed(params, config, seq).token_vecs
     s = hidden @ head.w_start + head.b_start[0]
     e = hidden @ head.w_end + head.b_end[0]
-    i, j = select_span(s, e, valid, max_span_len)
+    i, j = select_span(s, e, valid[: hidden.shape[0]], max_span_len)
     text = context[seq.offsets[i][0] : seq.offsets[j][1]]
     return SpanPrediction(start_token=i, end_token=j, text=text)
 

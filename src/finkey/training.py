@@ -30,6 +30,7 @@ from .encoder import (
     LayerParams,
     backward_batch,
     forward_batch,
+    forward_inference,
     init_params,
 )
 from .tasks import (
@@ -50,7 +51,6 @@ from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single, vocab_f
 logger = logging.getLogger(__name__)
 
 TASKS = ("sentiment", "match", "mrc")
-_EVAL_BATCH = 256
 
 
 class NumericalError(RuntimeError):
@@ -374,18 +374,8 @@ def _mrc_step(params, head, enc_cfg, ids, mask, valid, gold_s, gold_e, training,
 # ---------------------------------------------------------------------------
 
 
-def _batched_hidden(params, enc_cfg, data: _Encoded):
-    chunks = []
-    for start in range(0, data.n, _EVAL_BATCH):
-        sl = slice(start, start + _EVAL_BATCH)
-        chunks.append(
-            forward_batch(params, enc_cfg, data.ids[sl], data.mask[sl], training=False)
-        )
-    return np.concatenate(chunks, axis=0)
-
-
 def _dev_sentiment(params, head, enc_cfg, data: _Encoded) -> float:
-    pooled = _batched_hidden(params, enc_cfg, data)[:, 0, :]
+    pooled = forward_inference(params, enc_cfg, data.ids, data.mask)[:, 0, :]
     logits = pooled @ head.w + head.b
     pred = np.where(logits[:, 0] >= logits[:, 1], 0, 1)
     return float((pred == data.labels).mean())
@@ -394,7 +384,7 @@ def _dev_sentiment(params, head, enc_cfg, data: _Encoded) -> float:
 def _dev_match_f1(params, head, enc_cfg, data: _Encoded, threshold: float) -> float:
     from .evaluation import entity_prf
 
-    pooled = _batched_hidden(params, enc_cfg, data)[:, 0, :]
+    pooled = forward_inference(params, enc_cfg, data.ids, data.mask)[:, 0, :]
     scores = expit(pooled @ head.w + head.b[0])
     pred_by_doc: dict[str, set] = {}
     gold_by_doc: dict[str, set] = {}
@@ -417,12 +407,13 @@ def _dev_match_f1(params, head, enc_cfg, data: _Encoded, threshold: float) -> fl
 
 
 def _dev_mrc_exact_match(params, head, enc_cfg, data: _Encoded, max_span_len: int) -> float:
-    hidden = _batched_hidden(params, enc_cfg, data)
+    hidden = forward_inference(params, enc_cfg, data.ids, data.mask)
     s = hidden @ head.w_start + head.b_start[0]
     e = hidden @ head.w_end + head.b_end[0]
+    valid = data.valid[:, : hidden.shape[1]]
     hits = 0
     for i, (seq, ex) in enumerate(zip(data.seqs, data.examples)):
-        si, sj = select_span(s[i], e[i], data.valid[i], max_span_len)
+        si, sj = select_span(s[i], e[i], valid[i], max_span_len)
         text = ex.context[seq.offsets[si][0] : seq.offsets[sj][1]]
         gold = ex.context[ex.answer[0] : ex.answer[1]]
         hits += int(text == gold)
@@ -452,18 +443,18 @@ class Checkpoint:
     dev_score: float
     seed: int
 
-    def predict_sentiment(self, text: str):
+    def predict_sentiment(self, text: str, seq: Optional[TokenSequence] = None):
         if self.head_kind != "sentiment":
             raise ValueError("not a sentiment checkpoint")
         return predict_sentiment(
-            self.encoder_params, self.encoder_config, self.vocab, self.head, text
+            self.encoder_params, self.encoder_config, self.vocab, self.head, text, seq
         )
 
-    def score_entity(self, entity: str, text: str) -> float:
+    def score_entity(self, entity: str, text: str, seq: Optional[TokenSequence] = None) -> float:
         if self.head_kind != "match":
             raise ValueError("not a match checkpoint")
         return score_entity(
-            self.encoder_params, self.encoder_config, self.vocab, self.head, entity, text
+            self.encoder_params, self.encoder_config, self.vocab, self.head, entity, text, seq
         )
 
     def extract_span(self, question: str, context: str, max_span_len: int = 16) -> SpanPrediction:

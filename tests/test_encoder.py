@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finkey.encoder import (
     EncoderConfig,
     bow_encode,
     backward,
     forward,
+    forward_batch,
     forward_cached,
+    forward_inference,
     gelu,
     gelu_grad,
+    inference_length,
     init_params,
     sinusoidal_positions,
 )
@@ -133,14 +138,25 @@ class TestForward:
         cfg = tiny_config(vocab)
         params = init_params(cfg, 0)
         seq = encode_single("alpha", vocab, cfg.max_len)
-        bad = seq.__class__(
-            ids=tuple([cfg.vocab_size] + list(seq.ids[1:])),
-            segment_ids=seq.segment_ids,
-            attention_mask=seq.attention_mask,
-            offsets=seq.offsets,
-        )
-        with pytest.raises(ValueError):
-            forward(params, cfg, bad)
+        # -1 would otherwise read the last embedding row.
+        for bad_id in (cfg.vocab_size, -1):
+            bad = seq.__class__(
+                ids=tuple([bad_id] + list(seq.ids[1:])),
+                segment_ids=seq.segment_ids,
+                attention_mask=seq.attention_mask,
+                offsets=seq.offsets,
+            )
+            with pytest.raises(ValueError):
+                forward(params, cfg, bad)
+
+    @pytest.mark.parametrize("length", [0, 17])
+    def test_batch_length_outside_one_to_max_len(self, vocab, length):
+        cfg = tiny_config(vocab)
+        params = init_params(cfg, 0)
+        ids = np.full((2, length), 5, dtype=np.int64)
+        for fn in (forward_batch, forward_inference):
+            with pytest.raises(ValueError):
+                fn(params, cfg, ids, np.ones_like(ids))
 
     def test_dropout_needs_rng_and_changes_output(self, vocab):
         cfg = tiny_config(vocab, dropout_rate=0.5, dtype="float32")
@@ -152,6 +168,47 @@ class TestForward:
         dropped = forward(params, cfg, seq, training=True, rng=rng)
         plain = forward(params, cfg, seq)
         assert not np.array_equal(dropped.token_vecs, plain.token_vecs)
+
+
+@st.composite
+def trimmed_batches(draw):
+    """A random encoder config and a batch of real-prefix rows for it."""
+    d_model, n_heads = draw(st.sampled_from([(8, 1), (8, 2), (16, 2), (24, 2), (48, 4)]))
+    max_len = draw(st.integers(1, 40))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=4))
+    cfg = EncoderConfig(
+        vocab_size=20, d_model=d_model, n_heads=n_heads, n_layers=2, d_ff=2 * d_model,
+        max_len=max_len, dropout_rate=0.0, dtype=draw(st.sampled_from(["float32", "float64"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ids = rng.integers(0, cfg.vocab_size, size=(len(lengths), max_len))
+    mask = (np.arange(max_len)[None, :] < np.array(lengths)[:, None]).astype(np.int64)
+    return cfg, init_params(cfg, draw(st.integers(0, 99))), ids, mask, lengths
+
+
+class TestTrimmedInference:
+    @given(trimmed_batches())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_real_positions_match_full_length_forward(self, batch):
+        cfg, params, ids, mask, lengths = batch
+        t = inference_length(mask, cfg.max_len)
+        assert t == min(cfg.max_len, 8 * math.ceil(max(lengths) / 8))
+        trimmed = forward_inference(params, cfg, ids, mask)
+        full = forward_batch(params, cfg, ids, mask)
+        assert trimmed.shape == (len(lengths), t, cfg.d_model)
+        atol = 1e-12 if cfg.dtype == "float64" else 1e-5
+        for row, n_real in enumerate(lengths):
+            got, want = trimmed[row, :n_real], full[row, :n_real]
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            if cfg.d_model == 48:
+                # Exact only while the BLAS build blocks the probs @ vh
+                # contraction so that whole multiples of 8 padded keys add
+                # exact zeros; it held for OpenBLAS at d_head 12.
+                assert np.array_equal(got, want)
+
+    def test_length_of_all_padding_batch_is_one_block(self):
+        assert inference_length(np.zeros((3, 20)), 20) == 8
+        assert inference_length(np.zeros((3, 5)), 5) == 5
 
 
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):
@@ -234,6 +291,12 @@ class TestGelu:
         h = 1e-6
         numeric = (gelu(x + h) - gelu(x - h)) / (2 * h)
         np.testing.assert_allclose(gelu_grad(x), numeric, atol=1e-8)
+
+    def test_shared_cdf_gives_same_values(self):
+        x = np.linspace(-4, 4, 200, dtype=np.float32)
+        act, cdf = gelu(x, return_cdf=True)
+        assert np.array_equal(act, gelu(x))
+        assert np.array_equal(gelu_grad(x, cdf), gelu_grad(x))
 
     def test_known_values(self):
         assert gelu(np.array([0.0]))[0] == 0.0

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import finkey.tasks
 from finkey.corpus import Document, SentimentLabel, clean_text, Lexicon
 from finkey.encoder import EncoderConfig
 from finkey.evaluation import (
@@ -367,6 +370,30 @@ class TestRunPipeline:
         )
         assert [d.doc_id for d in threaded.documents] == [d.doc_id for d in serial.documents]
         assert threaded.documents == serial.documents
+
+    def test_each_text_encoded_once_per_max_len(
+        self, sentiment_members, matcher_members, monkeypatch
+    ):
+        first = sentiment_members[0]
+        short = replace(first, encoder_config=replace(first.encoder_config, max_len=4))
+        members = list(sentiment_members) + [short]
+        docs = tiny_corpus(12, seed=9)
+        calls = []
+        for name in ("encode_single", "encode_pair"):
+            encode = getattr(finkey.tasks, name)
+            monkeypatch.setattr(
+                finkey.tasks, name, lambda *a, _f=encode, _n=name: calls.append(_n) or _f(*a)
+            )
+        result = run_pipeline(docs, members, mode="coarse", matcher_members=matcher_members)
+        monkeypatch.undo()
+        n_negative = sum(r.sentiment is NEG for r in result.documents)
+        assert calls.count("encode_single") == 2 * len(docs)
+        assert calls.count("encode_pair") == n_negative  # one entity per document
+        for doc, doc_result in zip(docs, result.documents):
+            voted = vote_sentiment([m.predict_sentiment(doc.cleaned_text) for m in members])
+            assert (voted.label, voted.prob_negative) == (
+                doc_result.sentiment, doc_result.prob_negative
+            )
 
     def test_mode_validation(self, sentiment_members):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import finkey.tasks
 from finkey.corpus import SentimentLabel
-from finkey.encoder import EncoderConfig, init_params
+from finkey.encoder import EncoderConfig, forward, init_params
 from finkey.tasks import (
     FocalConfig,
     build_question,
@@ -354,6 +355,41 @@ class TestPredictionOps:
         head = init_head("span", cfg.d_model, np.random.default_rng(3))
         with pytest.raises(ValueError):
             extract_span(params, cfg, vocab, head, "alpha?", "", 3)
+
+
+class TestTrimmedPrediction:
+    """The predictors run over the trimmed prefix; the reference runs them
+    with a full-length forward in its place."""
+
+    TEXTS = ["alpha", "beta gamma one two", " ".join(["one two three four"] * 12)]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        vocab = vocab_from_texts(["alpha beta gamma", "one two three four"])
+        cfg = EncoderConfig(
+            vocab_size=vocab.size, d_model=48, n_heads=4, n_layers=2, d_ff=96,
+            max_len=40, dropout_rate=0.0,
+        )
+        return vocab, cfg, init_params(cfg, 4)
+
+    @staticmethod
+    def predict_all(vocab, cfg, params):
+        rng = np.random.default_rng(8)
+        heads = {kind: init_head(kind, cfg.d_model, rng) for kind in ("sentiment", "match", "span")}
+        out = []
+        for text in TestTrimmedPrediction.TEXTS:
+            out.append(predict_sentiment(params, cfg, vocab, heads["sentiment"], text))
+            out.append(score_entity(params, cfg, vocab, heads["match"], "alpha", text))
+            out.append(extract_span(params, cfg, vocab, heads["span"], "alpha?", text))
+        return out
+
+    def test_equal_to_full_length_forward(self, model, monkeypatch):
+        # Exact equality rests on the BLAS build summing the probs @ vh
+        # contraction in blocks that padding to a multiple of 8 keeps intact;
+        # it held for OpenBLAS at d_head 12.
+        trimmed = self.predict_all(*model)
+        monkeypatch.setattr(finkey.tasks, "forward_trimmed", forward)
+        assert trimmed == self.predict_all(*model)
 
 
 class TestClassicalHeads:
