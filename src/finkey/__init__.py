@@ -31,19 +31,19 @@ from .corpus import (  # noqa: E402,F401
 from .encoder import EncoderConfig, EncoderParams, bow_encode, forward, init_params  # noqa: E402,F401
 from .evaluation import (  # noqa: E402,F401
     EnsembleSpec,
-    EntityMetrics,
-    accuracy,
     ensemble_train_select,
-    entity_prf,
     run_pipeline,
     vote_key_entities,
     vote_sentiment,
 )
 from .tasks import (  # noqa: E402,F401
+    EntityMetrics,
     FocalConfig,
+    accuracy,
     build_question,
     cross_entropy,
     detect_key_entities,
+    entity_prf,
     extract_span,
     focal_loss,
     predict_sentiment,

@@ -30,21 +30,15 @@ from .corpus import (
     load_corpus,
 )
 from .encoder import EncoderConfig
-from .evaluation import (
-    EnsembleSpec,
-    accuracy,
-    ensemble_train_select,
-    entity_prf,
-    run_pipeline,
-)
-from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, FocalConfig
+from .evaluation import EnsembleSpec, ensemble_train_select, run_pipeline
+from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, FocalConfig, accuracy, entity_prf
 from .tokenizer import Vocab, load_vocab, save_vocab, vocab_from_texts
 from .training import (
     Checkpoint,
     NumericalError,
     TrainConfig,
     cross_validate,
-    kfold_split,
+    document_folds,
     load_checkpoint,
     neighborhood_search,
     save_checkpoint,
@@ -114,12 +108,12 @@ _TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__) - {"task", "focal"}
 def _train_config(cfg: dict, task: str, seed_override: int | None) -> TrainConfig:
     section = cfg.get(task, {})
     kwargs = {k: v for k, v in section.items() if k in _TRAIN_FIELDS}
-    focal = section.get("focal")
-    if focal is not None:
-        kwargs["focal"] = FocalConfig(**focal)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
+        focal = section.get("focal")
+        if focal is not None:
+            kwargs["focal"] = FocalConfig(**focal)
         return TrainConfig(task=task, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {task} training section: {exc}") from None
@@ -203,9 +197,10 @@ def _task_dataset(cfg: dict, task: str):
 
 
 def _holdout_split(dataset, cfg: dict, task: str, seed: int):
-    """Deterministic train/dev split: fold 0 of a seeded k-fold is the dev set."""
+    """Deterministic train/dev split: fold 0 of a seeded k-fold over the
+    documents is the dev set."""
     k = cfg.get(task, {}).get("dev_split_k", 10)
-    split = kfold_split(len(dataset), k, seed)
+    split = document_folds(dataset, k, seed)
     dev_idx = set(split.folds[0])
     train_set = [dataset[i] for i in range(len(dataset)) if i not in dev_idx]
     dev_set = [dataset[i] for i in split.folds[0]]
@@ -231,7 +226,10 @@ def _explicit_vocab(cfg: dict) -> Vocab | None:
         return None
     if not Path(path).exists():
         raise ConfigError(f"vocab file not found: {path}")
-    return load_vocab(path)
+    try:
+        return load_vocab(path)
+    except ValueError as exc:
+        raise ConfigError(f"bad vocab file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,10 @@ def _load_checkpoints(paths, expected_kind: str) -> list[Checkpoint]:
     for path in paths:
         if not Path(path).exists():
             raise ConfigError(f"checkpoint not found: {path}")
-        ckpt = load_checkpoint(path)
+        try:
+            ckpt = load_checkpoint(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if ckpt.head_kind != expected_kind:
             raise ConfigError(
                 f"{path}: expected a {expected_kind} checkpoint, found {ckpt.head_kind}"
@@ -419,7 +420,6 @@ def cmd_pipeline(args) -> int:
         template=template,
         lexicon=lexicon,
         max_span_len=max_span_len,
-        threads=args.threads,
     )
 
     out = Path(args.output)
@@ -461,8 +461,11 @@ def _read_predictions(path: str) -> dict[str, dict]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            doc_id = record.get("id")
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{path}: line {lineno} is not valid JSON: {exc.msg}") from None
+            doc_id = record.get("id") if isinstance(record, dict) else None
             if not isinstance(doc_id, str):
                 raise CorpusError(f"{path}: line {lineno} lacks an id")
             if doc_id in preds:
@@ -567,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", help="JSON run configuration")
             p.add_argument("--seed", type=int, default=None, help="override the task seed")
         p.add_argument("--report", help="write a JSON report to this path")
-        p.add_argument("--threads", type=int, default=1, help="worker threads where supported")
 
     p = sub.add_parser("validate", help="validate a corpus file")
     p.add_argument("--corpus", required=True)

@@ -14,8 +14,8 @@ fires in training mode and draws from an explicit Generator.
 ``forward_batch``/``backward_batch`` operate on (batch, seq) id/mask arrays
 and are what the training loops use; ``forward``/``backward`` wrap them for
 a single TokenSequence.  ``forward_inference`` is the inference entry point:
-it runs ``forward_batch`` over the real prefix of a batch only;
-``forward_trimmed`` wraps it for a single TokenSequence.
+it runs ``forward_batch`` over each row's real prefix only, grouping rows of
+equal length.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -24,7 +24,7 @@ untrained counterpart for baseline classifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -71,16 +71,7 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "dropout_rate": self.dropout_rate,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -114,29 +105,23 @@ class EncoderParams:
         """Deterministically ordered (name, array) pairs over all tensors."""
         yield "embedding", self.embedding
         for i, lp in enumerate(self.layers):
-            for name in (
-                "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-            ):
+            for name in lp.__dataclass_fields__:
                 yield f"layers.{i}.{name}", getattr(lp, name)
 
-    def copy(self) -> "EncoderParams":
+    def _map(self, fn) -> "EncoderParams":
         return EncoderParams(
-            embedding=self.embedding.copy(),
+            embedding=fn(self.embedding),
             layers=[
-                LayerParams(**{k: getattr(lp, k).copy() for k in lp.__dataclass_fields__})
+                LayerParams(**{k: fn(getattr(lp, k)) for k in lp.__dataclass_fields__})
                 for lp in self.layers
             ],
         )
 
+    def copy(self) -> "EncoderParams":
+        return self._map(np.copy)
+
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(
-            embedding=np.zeros_like(self.embedding),
-            layers=[
-                LayerParams(**{k: np.zeros_like(getattr(lp, k)) for k in lp.__dataclass_fields__})
-                for lp in self.layers
-            ],
-        )
+        return self._map(np.zeros_like)
 
     def all_finite(self) -> bool:
         return all(np.isfinite(arr).all() for _, arr in self.named())
@@ -407,6 +392,14 @@ def backward_batch(
     return grads
 
 
+def _row_lengths(attn_mask: np.ndarray, max_len: int) -> np.ndarray:
+    """Each row's last real position, rounded up to a multiple of 8 and
+    capped at ``max_len``; a row without real positions counts as one."""
+    real = np.asarray(attn_mask, dtype=bool)
+    last = np.where(real.any(axis=1), real.shape[1] - np.argmax(real[:, ::-1], axis=1), 1)
+    return np.minimum(max_len, -(-last // _LENGTH_MULTIPLE) * _LENGTH_MULTIPLE)
+
+
 def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
     """Positions an inference forward over ``attn_mask`` has to cover.
 
@@ -421,9 +414,8 @@ def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
     d_head 12 no difference was found.  Other BLAS builds may block the
     contraction differently.
     """
-    real = np.flatnonzero(np.asarray(attn_mask, dtype=bool).any(axis=0))
-    last = int(real[-1]) + 1 if real.size else 1
-    return min(max_len, -(-last // _LENGTH_MULTIPLE) * _LENGTH_MULTIPLE)
+    floor = min(max_len, _LENGTH_MULTIPLE)
+    return int(_row_lengths(attn_mask, max_len).max(initial=floor))
 
 
 def forward_inference(
@@ -432,25 +424,28 @@ def forward_inference(
     ids: np.ndarray,
     attn_mask: np.ndarray,
 ) -> np.ndarray:
-    """Inference-mode hidden states over the real prefix of a batch.
+    """Inference-mode hidden states, each row run over its own real prefix.
 
-    The batch is cut to ``inference_length`` positions T, one T for all
-    rows, and run through forward_batch in chunks of rows.  Returns shape
-    (batch, T, d_model); the positions cut off are padding in every row and
-    change no real position.
+    Rows are grouped by their own ``inference_length`` and each group runs
+    through forward_batch in chunks of rows, so a row is computed at the
+    same length whatever else is in the batch; with OpenBLAS a batch is then
+    bit-identical to its rows run alone (README, encoder section).  Returns
+    shape (batch, T, d_model) with T the longest row length; positions past
+    a row's own length are zero.  Zero rows give an empty result.
     """
     ids = np.asarray(ids)
     mask = np.asarray(attn_mask)
-    if ids.ndim != 2 or ids.shape[1] > config.max_len:
-        raise ValueError(f"ids must have shape (batch, T) with T <= {config.max_len}")
-    t = inference_length(mask, config.max_len)
-    chunks = [
-        forward_batch(
-            params, config, ids[i : i + _INFERENCE_CHUNK, :t], mask[i : i + _INFERENCE_CHUNK, :t]
-        )
-        for i in range(0, ids.shape[0], _INFERENCE_CHUNK)
-    ]
-    return np.concatenate(chunks, axis=0)
+    if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
+        raise ValueError(f"ids must have shape (batch, T) with 1 <= T <= {config.max_len}")
+    lengths = _row_lengths(mask, ids.shape[1])
+    t_max = int(lengths.max(initial=min(ids.shape[1], _LENGTH_MULTIPLE)))
+    hidden = np.zeros((ids.shape[0], t_max, config.d_model), dtype=config.np_dtype)
+    for t in np.unique(lengths):
+        rows = np.flatnonzero(lengths == t)
+        for i in range(0, rows.size, _INFERENCE_CHUNK):
+            sel = rows[i : i + _INFERENCE_CHUNK]
+            hidden[sel, :t] = forward_batch(params, config, ids[sel, :t], mask[sel, :t])
+    return hidden
 
 
 def _seq_arrays(seq: TokenSequence):
@@ -487,18 +482,6 @@ def forward_cached(
         params, config, *_seq_arrays(seq), training=training, rng=rng, cache=cache
     )
     return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0]), cache
-
-
-def forward_trimmed(
-    params: EncoderParams, config: EncoderConfig, seq: TokenSequence
-) -> PooledOutput:
-    """Inference-mode ``forward`` over the real prefix of one TokenSequence.
-
-    ``token_vecs`` has ``inference_length`` rows instead of max_len; the
-    rows cut off are padding.
-    """
-    hidden = forward_inference(params, config, *_seq_arrays(seq))
-    return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0])
 
 
 def backward(

@@ -1,10 +1,4 @@
-"""Evaluation metrics, seed ensembles with voting, and pipeline assembly.
-
-Entity detection is scored with micro-aggregated entity counts: per text i,
-TP_i counts correctly recognized entities, FP_i wrongly recognized ones and
-FN_i missed ones; the sums over all texts give precision TP/(TP+FP), recall
-TP/(TP+FN) and their harmonic mean F1, each defined as 0 when its
-denominator vanishes.
+"""Seed ensembles with voting, and pipeline assembly.
 
 Ensembles train one model per seed, keep the top scorers on the dev set and
 combine member predictions by majority vote.
@@ -12,76 +6,27 @@ combine member predictions by majority vote.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from . import tasks
-from .corpus import Document, Lexicon, SentimentLabel, rule_match_entities
+from .corpus import Document, Lexicon, MrcExample, PairExample, SentimentLabel, rule_match_entities
 from .tasks import (
     DEFAULT_MAX_SPAN_LEN,
     DEFAULT_TEMPLATE,
+    MatchTask,
     SentimentPrediction,
+    SentimentTask,
+    SpanTask,
+    Task,
     build_question,
     entity_score,
 )
 from .training import Checkpoint, EncoderConfig, TrainConfig, train
 
-
-@dataclass(frozen=True)
-class EntityMetrics:
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int) -> "EntityMetrics":
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        return cls(tp, fp, fn, precision, recall, f1)
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
-
-def accuracy(preds: Sequence, golds: Sequence) -> float:
-    """Fraction of positions where prediction equals gold."""
-    if len(preds) != len(golds):
-        raise ValueError("prediction and gold lists differ in length")
-    if not golds:
-        raise ValueError("cannot compute accuracy of an empty list")
-    return sum(p == g for p, g in zip(preds, golds)) / len(golds)
-
-
-def entity_prf(
-    pred_sets: Sequence[Iterable[str]], gold_sets: Sequence[Iterable[str]]
-) -> EntityMetrics:
-    """Micro-aggregated entity precision/recall/F1 over parallel texts."""
-    if len(pred_sets) != len(gold_sets):
-        raise ValueError("prediction and gold collections differ in length")
-    tp = fp = fn = 0
-    for pred, gold in zip(pred_sets, gold_sets):
-        pred = set(pred)
-        gold = set(gold)
-        tp += len(pred & gold)
-        fp += len(pred - gold)
-        fn += len(gold - pred)
-    return EntityMetrics.from_counts(tp, fp, fn)
+# Documents per pipeline block: each block makes one batched forward per
+# member and stage.  Measured on the coarse benchmark, throughput stops
+# rising at 4 documents while peak memory keeps growing (CHANGES.md).
+_BLOCK_DOCS = 4
 
 
 @dataclass(frozen=True)
@@ -195,6 +140,39 @@ def _check_shared_vocab(checkpoints: list[Checkpoint]):
             raise ValueError("pipeline checkpoints do not share a vocabulary")
 
 
+def _member_predictions(task: Task, members: Sequence[Checkpoint], items: list) -> list[list]:
+    """Each member's predictions over the items, in item order.
+
+    The items are encoded once per distinct member max_len (members share
+    one vocabulary, so max_len fixes the encoding).  An item that does not
+    encode gets its error message, a str, in place of a prediction.
+    """
+    encoded = {}
+    out = []
+    for member in members:
+        max_len = member.encoder_config.max_len
+        if max_len not in encoded:
+            encoded[max_len] = task.encode(items, member.vocab, max_len)
+        data = encoded[max_len]
+        preds = iter(member.predict(task, data))
+        out.append([data.errors[i] if i in data.errors else next(preds) for i in range(len(items))])
+    return out
+
+
+def _stage2_inputs(doc: Document, mode: str, lexicon, template: str) -> list:
+    """The (entity, text) pairs or the one question of a negative document."""
+    if mode == "coarse":
+        entities = doc.entity_list
+        if entities is None and lexicon is not None:
+            entities = rule_match_entities(doc.cleaned_text, lexicon)
+        if entities is None:
+            raise ValueError("document has no entity list and no lexicon was given")
+        return [PairExample(doc.id, e, doc.cleaned_text) for e in entities]
+    if doc.tag is None:
+        raise ValueError("document has no tag for fine-grained extraction")
+    return [MrcExample(doc.id, build_question(doc.tag, template), doc.cleaned_text)]
+
+
 def run_pipeline(
     docs: Sequence[Document],
     sentiment_members: Sequence[Checkpoint],
@@ -206,17 +184,18 @@ def run_pipeline(
     template: str = DEFAULT_TEMPLATE,
     lexicon: Optional[Lexicon] = None,
     max_span_len: int = DEFAULT_MAX_SPAN_LEN,
-    threads: int = 1,
 ) -> PipelineResult:
-    """Run the staged pipeline over documents.
+    """Run the staged pipeline over documents, in blocks of documents.
 
     Stage 1 votes the sentiment ensemble per document; positive documents
     are filtered out.  Stage 2 either votes key entities over the document
     entity list (coarse mode; a lexicon can stand in for missing lists) or
-    extracts the tag-conditioned answer span (fine mode).  Results keep the
-    input order even with multiple worker threads.  Each text and each
-    (entity, text) pair is tokenized once per distinct member max_len and
-    shared by the members.
+    extracts the tag-conditioned answer span (fine mode).  Each stage makes
+    one batched prediction per member over a block: its documents, then
+    the (entity, text) pairs or questions of its negative documents.  Each
+    text and pair is tokenized once per distinct member max_len.  A
+    document that cannot be encoded gets an error and the rest of its
+    block goes on.  Results keep the input order.
     """
     if mode not in ("coarse", "fine"):
         raise ValueError("mode must be 'coarse' or 'fine'")
@@ -224,90 +203,67 @@ def run_pipeline(
         raise ValueError("need at least one sentiment checkpoint")
     if any(c.head_kind != "sentiment" for c in sentiment_members):
         raise ValueError("stage-1 checkpoints must be sentiment models")
-    shared: list[Checkpoint] = list(sentiment_members)
     if mode == "coarse":
         if not matcher_members:
             raise ValueError("coarse mode needs matcher checkpoints")
         if any(c.head_kind != "match" for c in matcher_members):
             raise ValueError("matcher checkpoints must be match models")
-        shared += list(matcher_members)
+        stage2_task, stage2_members = MatchTask(), list(matcher_members)
     else:
         if mrc_checkpoint is None:
             raise ValueError("fine mode needs an mrc checkpoint")
         if mrc_checkpoint.head_kind != "span":
             raise ValueError("mrc checkpoint must be a span model")
-        shared.append(mrc_checkpoint)
-    _check_shared_vocab(shared)
+        stage2_task, stage2_members = SpanTask(max_span_len=max_span_len), [mrc_checkpoint]
+    _check_shared_vocab(list(sentiment_members) + stage2_members)
     if not 0.0 <= match_threshold <= 1.0:
         raise ValueError("match_threshold must lie in [0, 1]")
 
-    def process(doc: Document) -> tuple[DocResult, dict]:
-        counts = {"processed": 1}
-        text = doc.cleaned_text
-        seqs: dict = {}
-
-        def encoded(member: Checkpoint, *segments: str):
-            # All members share one vocabulary, so max_len fixes the encoding.
-            max_len = member.encoder_config.max_len
-            key = (max_len, *segments)
-            if key not in seqs:
-                # Called through the tasks module, like the predictors' own
-                # encoding, so a wrapper set there sees every tokenizer call.
-                encode = tasks.encode_single if len(segments) == 1 else tasks.encode_pair
-                seqs[key] = encode(*segments, member.vocab, max_len)
-            return seqs[key]
-
-        voted = vote_sentiment(
-            [m.predict_sentiment(text, encoded(m, text)) for m in sentiment_members]
-        )
-        result = DocResult(doc.id, voted.label, voted.prob_negative)
-        if voted.label is SentimentLabel.POSITIVE:
-            counts["predicted_positive"] = 1
-            return result, counts
-        counts["predicted_negative"] = 1
-        try:
-            if mode == "coarse":
-                entities = doc.entity_list
-                if entities is None and lexicon is not None:
-                    entities = rule_match_entities(text, lexicon)
-                if entities is None:
-                    raise ValueError("document has no entity list and no lexicon was given")
-                if not entities:
-                    counts["empty_entity_list"] = 1
-                    result.key_entities = []
-                    return result, counts
-                member_scores = [
-                    [(e, m.score_entity(e, text, encoded(m, e, text))) for e in entities]
-                    for m in matcher_members
-                ]
-                result.key_entities = vote_key_entities(member_scores, match_threshold)
-            else:
-                if doc.tag is None:
-                    raise ValueError("document has no tag for fine-grained extraction")
-                question = build_question(doc.tag, template)
-                span = mrc_checkpoint.extract_span(question, text, max_span_len)
-                result.span_text = span.text
-        except ValueError as exc:
-            result.error = str(exc)
-            counts["errors"] = 1
-        return result, counts
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(process, docs))
-    else:
-        outcomes = [process(doc) for doc in docs]
-
-    counters = {
-        "processed": 0,
-        "predicted_negative": 0,
-        "predicted_positive": 0,
-        "empty_entity_list": 0,
-        "errors": 0,
-    }
+    counters = dict.fromkeys(
+        ("processed", "predicted_negative", "predicted_positive", "empty_entity_list", "errors"), 0
+    )
     results = []
-    for result, counts in outcomes:
-        results.append(result)
-        for key, value in counts.items():
-            counters[key] += value
+    for start in range(0, len(docs), _BLOCK_DOCS):
+        block = docs[start : start + _BLOCK_DOCS]
+        stage1 = _member_predictions(SentimentTask(), sentiment_members, block)
+        pending = []  # (result, stage-2 inputs) of the block's negative documents
+        for i, doc in enumerate(block):
+            voted = vote_sentiment([preds[i] for preds in stage1])
+            result = DocResult(doc.id, voted.label, voted.prob_negative)
+            results.append(result)
+            counters["processed"] += 1
+            if voted.label is SentimentLabel.POSITIVE:
+                counters["predicted_positive"] += 1
+                continue
+            counters["predicted_negative"] += 1
+            try:
+                inputs = _stage2_inputs(doc, mode, lexicon, template)
+            except ValueError as exc:
+                result.error = str(exc)
+                counters["errors"] += 1
+                continue
+            if not inputs:
+                counters["empty_entity_list"] += 1
+                result.key_entities = []
+                continue
+            pending.append((result, inputs))
+
+        stage2 = _member_predictions(
+            stage2_task, stage2_members, [x for _, inputs in pending for x in inputs]
+        )
+        pos = 0
+        for result, inputs in pending:
+            rows = [preds[pos : pos + len(inputs)] for preds in stage2]
+            pos += len(inputs)
+            error = next((p for member in rows for p in member if isinstance(p, str)), None)
+            if error is not None:
+                result.error = error
+                counters["errors"] += 1
+            elif mode == "coarse":
+                result.key_entities = vote_key_entities(
+                    [[(x.entity, score) for x, score in zip(inputs, member)] for member in rows],
+                    match_threshold,
+                )
+            else:
+                result.span_text = rows[0][0].text
     return PipelineResult(documents=results, counters=counters)

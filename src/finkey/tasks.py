@@ -1,4 +1,5 @@
-"""Task heads, losses and prediction operations for the three pipeline stages.
+"""Task heads, losses, metrics and prediction operations for the three
+pipeline stages.
 
 Stage 1: two-class sentiment softmax over the sentence vector.
 Stage 2: entity/text pair matcher, a single sigmoid logit thresholded into a
@@ -6,24 +7,24 @@ key-entity decision (focal loss counters the key/non-key imbalance).
 Stage 3: question-conditioned span extraction with per-token start/end
 scores over the context segment.
 
+One ``Task`` per head kind holds the stage's encoding, training loss,
+batched prediction and dev metric; training, the pipeline and the
+single-text predictors (batches of one) all go through it.
+
 Classical baseline heads (Gaussian naive Bayes, logistic regression, linear
 SVM) operate on frozen feature vectors and share the binary-label contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .corpus import SentimentLabel
-from .encoder import (
-    EncoderConfig,
-    EncoderParams,
-    forward_trimmed,
-)
+from .corpus import Document, MrcExample, PairExample, SentimentLabel
+from .encoder import EncoderConfig, EncoderParams, forward_inference, inference_length
 from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single
 
 DEFAULT_TEMPLATE = "Which company involves {tag}?"
@@ -34,38 +35,36 @@ NEGATIVE_INDEX = 0
 POSITIVE_INDEX = 1
 
 
+class _Head:
+    """Weights ``w*`` of shape (d_model, n_out), or (d_model,) when n_out is
+    1, and biases ``b*`` of shape (n_out,)."""
+
+    def named(self):
+        for name in self.__dataclass_fields__:
+            yield name, getattr(self, name)
+
+
 @dataclass
-class SentimentHead:
+class SentimentHead(_Head):
+    n_out = 2
     w: np.ndarray  # (d_model, 2)
     b: np.ndarray  # (2,)
 
-    def named(self):
-        yield "w", self.w
-        yield "b", self.b
-
 
 @dataclass
-class MatchHead:
+class MatchHead(_Head):
+    n_out = 1
     w: np.ndarray  # (d_model,)
     b: np.ndarray  # (1,)
 
-    def named(self):
-        yield "w", self.w
-        yield "b", self.b
-
 
 @dataclass
-class SpanHead:
+class SpanHead(_Head):
+    n_out = 1
     w_start: np.ndarray  # (d_model,)
     b_start: np.ndarray  # (1,)
     w_end: np.ndarray  # (d_model,)
     b_end: np.ndarray  # (1,)
-
-    def named(self):
-        yield "w_start", self.w_start
-        yield "b_start", self.b_start
-        yield "w_end", self.w_end
-        yield "b_end", self.b_end
 
 
 def _head_vec(rng: np.random.Generator, d_model: int, n_out: int, dtype) -> np.ndarray:
@@ -75,18 +74,17 @@ def _head_vec(rng: np.random.Generator, d_model: int, n_out: int, dtype) -> np.n
 
 
 def init_head(kind: str, d_model: int, rng: np.random.Generator, dtype=np.float32):
-    if kind == "sentiment":
-        return SentimentHead(w=_head_vec(rng, d_model, 2, dtype), b=np.zeros(2, dtype))
-    if kind == "match":
-        return MatchHead(w=_head_vec(rng, d_model, 1, dtype), b=np.zeros(1, dtype))
-    if kind == "span":
-        return SpanHead(
-            w_start=_head_vec(rng, d_model, 1, dtype),
-            b_start=np.zeros(1, dtype),
-            w_end=_head_vec(rng, d_model, 1, dtype),
-            b_end=np.zeros(1, dtype),
-        )
-    raise ValueError(f"unknown head kind {kind!r}")
+    """A new head of a head kind: uniform weights, drawn in field order, and
+    zero biases."""
+    cls = task_for_head(kind).head_cls
+    return cls(
+        **{
+            name: _head_vec(rng, d_model, cls.n_out, dtype)
+            if name.startswith("w")
+            else np.zeros(cls.n_out, dtype)
+            for name in cls.__dataclass_fields__
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -193,52 +191,6 @@ def focal_loss_from_logits(
     return loss, dz
 
 
-def predict_sentiment(
-    params: EncoderParams,
-    config: EncoderConfig,
-    vocab: Vocab,
-    head: SentimentHead,
-    text: str,
-    seq: Optional[TokenSequence] = None,
-) -> SentimentPrediction:
-    """Deterministic single-text sentiment prediction.
-
-    The label is negative exactly when prob_negative >= 0.5.  ``seq`` may
-    hold the text already encoded with ``vocab`` at ``config.max_len``.
-    """
-    if seq is None:
-        seq = encode_single(text, vocab, config.max_len)
-    pooled = forward_trimmed(params, config, seq).sentence_vec
-    logits = pooled @ head.w + head.b
-    z = logits - logits.max()
-    probs = np.exp(z) / np.exp(z).sum()
-    prob_negative = float(probs[NEGATIVE_INDEX])
-    label = (
-        SentimentLabel.NEGATIVE if prob_negative >= 0.5 else SentimentLabel.POSITIVE
-    )
-    return SentimentPrediction(label=label, prob_negative=prob_negative)
-
-
-def score_entity(
-    params: EncoderParams,
-    config: EncoderConfig,
-    vocab: Vocab,
-    head: MatchHead,
-    entity: str,
-    text: str,
-    seq: Optional[TokenSequence] = None,
-) -> float:
-    """Key-entity probability for one (entity, text) pair.
-
-    ``seq`` may hold the pair already encoded with ``vocab`` at
-    ``config.max_len``.
-    """
-    if seq is None:
-        seq = encode_pair(entity, text, vocab, config.max_len)
-    pooled = forward_trimmed(params, config, seq).sentence_vec
-    return float(expit(pooled @ head.w + head.b[0]))
-
-
 def entity_score(item) -> tuple[str, float]:
     """Normalize a MatchPrediction or an (entity, score) pair."""
     if isinstance(item, MatchPrediction):
@@ -301,28 +253,6 @@ def select_span(
     return flat // n, flat % n
 
 
-def extract_span(
-    params: EncoderParams,
-    config: EncoderConfig,
-    vocab: Vocab,
-    head: SpanHead,
-    question: str,
-    context: str,
-    max_span_len: int = DEFAULT_MAX_SPAN_LEN,
-) -> SpanPrediction:
-    """Extract the best answer span from the context for the question."""
-    seq = encode_pair(question, context, vocab, config.max_len)
-    valid = _context_positions(seq)
-    if not valid.any():
-        raise ValueError("context empty after truncation")
-    hidden = forward_trimmed(params, config, seq).token_vecs
-    s = hidden @ head.w_start + head.b_start[0]
-    e = hidden @ head.w_end + head.b_end[0]
-    i, j = select_span(s, e, valid[: hidden.shape[0]], max_span_len)
-    text = context[seq.offsets[i][0] : seq.offsets[j][1]]
-    return SpanPrediction(start_token=i, end_token=j, text=text)
-
-
 def _context_positions(seq) -> np.ndarray:
     """Mask of segment-1 positions that carry real (offset-bearing) tokens."""
     return np.array(
@@ -362,6 +292,394 @@ def span_loss(
         losses.append(loss)
         grads.append(g)
     return 0.5 * (losses[0] + losses[1]), grads[0], grads[1]
+
+
+# ---------------------------------------------------------------------------
+# Metrics
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EntityMetrics:
+    tp: int
+    fp: int
+    fn: int
+    precision: float
+    recall: float
+    f1: float
+
+    @classmethod
+    def from_counts(cls, tp: int, fp: int, fn: int) -> "EntityMetrics":
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = (
+            2.0 * precision * recall / (precision + recall)
+            if precision + recall > 0
+            else 0.0
+        )
+        return cls(tp, fp, fn, precision, recall, f1)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def accuracy(preds: Sequence, golds: Sequence) -> float:
+    """Fraction of positions where prediction equals gold."""
+    if len(preds) != len(golds):
+        raise ValueError("prediction and gold lists differ in length")
+    if not golds:
+        raise ValueError("cannot compute accuracy of an empty list")
+    return sum(p == g for p, g in zip(preds, golds)) / len(golds)
+
+
+def entity_prf(
+    pred_sets: Sequence[Iterable[str]], gold_sets: Sequence[Iterable[str]]
+) -> EntityMetrics:
+    """Micro-aggregated entity precision/recall/F1 over parallel texts.
+
+    Per text i, TP_i counts correctly recognized entities, FP_i wrongly
+    recognized ones and FN_i missed ones; the sums over all texts give
+    precision TP/(TP+FP), recall TP/(TP+FN) and their harmonic mean F1, each
+    defined as 0 when its denominator vanishes.
+    """
+    if len(pred_sets) != len(gold_sets):
+        raise ValueError("prediction and gold collections differ in length")
+    tp = fp = fn = 0
+    for pred, gold in zip(pred_sets, gold_sets):
+        pred = set(pred)
+        gold = set(gold)
+        tp += len(pred & gold)
+        fp += len(pred - gold)
+        fn += len(gold - pred)
+    return EntityMetrics.from_counts(tp, fp, fn)
+
+
+# ---------------------------------------------------------------------------
+# Tasks: encoding, loss, batched prediction and dev metric per head kind
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Encoded:
+    """Task inputs encoded at one max_len, one row per input that encoded,
+    in input order.
+
+    ``errors`` maps the position of each input that did not encode to its
+    message.  ``gold`` holds the training
+    targets when every input carries one: class indices (sentiment), 0/1
+    labels (match) or (start, end) token positions (span).  ``valid`` marks
+    the context positions of span rows.
+    """
+
+    items: list
+    seqs: list[TokenSequence]
+    ids: np.ndarray  # (n, max_len)
+    mask: np.ndarray  # (n, max_len)
+    gold: Optional[np.ndarray] = None
+    valid: Optional[np.ndarray] = None
+    errors: dict[int, str] = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.ids.shape[0]
+
+    def rows(self, sel) -> "Encoded":
+        """The rows at positions ``sel``, in that order."""
+        return Encoded(
+            [self.items[i] for i in sel],
+            [self.seqs[i] for i in sel],
+            self.ids[sel],
+            self.mask[sel],
+            None if self.gold is None else self.gold[sel],
+            None if self.valid is None else self.valid[sel],
+        )
+
+
+def _log_softmax(scores: np.ndarray, valid=True) -> np.ndarray:
+    """Row-wise float64 log-softmax over the valid positions."""
+    z = np.where(valid, scores.astype(np.float64), -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+@dataclass(frozen=True)
+class Task:
+    """One head kind: how its inputs are encoded, its training loss, its
+    batched prediction and its dev metric.
+
+    Training, cross-validation, the pipeline and the single-text predictors
+    all go through these operations.  ``loss_and_grad`` takes the training
+    forward's hidden states and returns (loss, head gradients, gradient on
+    the hidden states); ``predict`` takes inference hidden states from
+    ``forward_inference`` and returns one prediction per row, applying the
+    head row by row so that a row's prediction does not depend on the batch.
+    """
+
+    name: ClassVar[str]
+    head_kind: ClassVar[str]
+    head_cls: ClassVar[type]
+    focal: FocalConfig = FocalConfig(gamma=0.0)  # match loss; gamma 0 is cross-entropy
+    threshold: float = 0.5  # match dev metric
+    max_span_len: int = DEFAULT_MAX_SPAN_LEN  # span prediction
+
+    def segments(self, item) -> tuple[str, ...]:
+        """The one or two texts an input is encoded from."""
+        raise NotImplementedError
+
+    def target(self, item, seq: TokenSequence):
+        """The training target of an encoded input, None if it has none;
+        raises ValueError for an input that cannot be used."""
+        raise NotImplementedError
+
+    def encode(self, items: Sequence, vocab: Vocab, max_len: int) -> Encoded:
+        kept, seqs, gold, errors = [], [], [], {}
+        for i, item in enumerate(items):
+            segments = self.segments(item)
+            # Looked up in this module at call time, so a wrapper set on
+            # finkey.tasks.encode_single/encode_pair sees every tokenizer call.
+            encode = encode_single if len(segments) == 1 else encode_pair
+            try:
+                seq = encode(*segments, vocab, max_len)
+                gold.append(self.target(item, seq))
+            except ValueError as exc:
+                errors[i] = str(exc)
+                continue
+            kept.append(item)
+            seqs.append(seq)
+        shape = (len(seqs), max_len)
+        return Encoded(
+            kept,
+            seqs,
+            np.array([s.ids for s in seqs], dtype=np.int64).reshape(shape),
+            np.array([s.attention_mask for s in seqs], dtype=np.int64).reshape(shape),
+            np.array(gold, dtype=np.int64) if None not in gold else None,
+            errors=errors,
+        )
+
+    def run(self, params: EncoderParams, config: EncoderConfig, head, data: Encoded) -> list:
+        """Predictions for encoded inputs: one inference forward, then the head."""
+        return self.predict(head, forward_inference(params, config, data.ids, data.mask), data)
+
+
+@dataclass(frozen=True)
+class SentimentTask(Task):
+    name = "sentiment"
+    head_kind = "sentiment"
+    head_cls = SentimentHead
+
+    def segments(self, doc: Document):
+        return (doc.cleaned_text,)
+
+    def target(self, doc: Document, seq):
+        if doc.sentiment is None:
+            return None
+        return NEGATIVE_INDEX if doc.sentiment is SentimentLabel.NEGATIVE else POSITIVE_INDEX
+
+    def loss_and_grad(self, head, hidden, batch):
+        pooled = hidden[:, 0, :]
+        logits = pooled @ head.w + head.b
+        logp = _log_softmax(logits)
+        rows = np.arange(hidden.shape[0])
+        loss = float(-logp[rows, batch.gold].mean())
+        dlogits = np.exp(logp)
+        dlogits[rows, batch.gold] -= 1.0
+        dlogits /= hidden.shape[0]
+        dlogits = dlogits.astype(hidden.dtype)
+        head_grads = {"w": pooled.T @ dlogits, "b": dlogits.sum(axis=0)}
+        d_hidden = np.zeros_like(hidden)
+        d_hidden[:, 0, :] = dlogits @ head.w.T
+        return loss, head_grads, d_hidden
+
+    def predict(self, head, hidden, batch) -> list[SentimentPrediction]:
+        """The label is negative exactly when prob_negative >= 0.5."""
+        out = []
+        for logits in hidden[:, :1, :] @ head.w + head.b:
+            z = logits[0] - logits[0].max()
+            probs = np.exp(z) / np.exp(z).sum()
+            prob_negative = float(probs[NEGATIVE_INDEX])
+            label = (
+                SentimentLabel.NEGATIVE if prob_negative >= 0.5 else SentimentLabel.POSITIVE
+            )
+            out.append(SentimentPrediction(label=label, prob_negative=prob_negative))
+        return out
+
+    def dev_metric(self, preds, data: Encoded) -> float:
+        """Accuracy."""
+        classes = [
+            NEGATIVE_INDEX if p.label is SentimentLabel.NEGATIVE else POSITIVE_INDEX
+            for p in preds
+        ]
+        return accuracy(classes, data.gold.tolist())
+
+
+@dataclass(frozen=True)
+class MatchTask(Task):
+    name = "match"
+    head_kind = "match"
+    head_cls = MatchHead
+
+    def segments(self, ex: PairExample):
+        return (ex.entity, ex.text)
+
+    def target(self, ex: PairExample, seq):
+        return ex.label
+
+    def loss_and_grad(self, head, hidden, batch):
+        pooled = hidden[:, 0, :]
+        z = pooled @ head.w + head.b[0]
+        losses, dz = focal_loss_from_logits(z, batch.gold, self.focal)
+        loss = float(losses.mean())
+        dz = (dz / hidden.shape[0]).astype(hidden.dtype)
+        head_grads = {"w": pooled.T @ dz, "b": np.array([dz.sum()], dtype=hidden.dtype)}
+        d_hidden = np.zeros_like(hidden)
+        d_hidden[:, 0, :] = dz[:, None] * head.w[None, :]
+        return loss, head_grads, d_hidden
+
+    def predict(self, head, hidden, batch) -> list[float]:
+        """Key-entity probability of each (entity, text) row."""
+        return [float(expit(z[0] + head.b[0])) for z in hidden[:, :1, :] @ head.w]
+
+    def dev_metric(self, scores, data: Encoded) -> float:
+        """Entity F1 over documents, at the decision threshold."""
+        pred: dict[str, set] = {}
+        gold: dict[str, set] = {}
+        for ex, score in zip(data.items, scores):
+            pred.setdefault(ex.doc_id, set())
+            gold.setdefault(ex.doc_id, set())
+            if score >= self.threshold:
+                pred[ex.doc_id].add(ex.entity)
+            if ex.label == 1:
+                gold[ex.doc_id].add(ex.entity)
+        return entity_prf(list(pred.values()), list(gold.values())).f1
+
+
+def _token_span(seq: TokenSequence, start_char: int, end_char: int):
+    start_tok = end_tok = None
+    for pos, (seg, off) in enumerate(zip(seq.segment_ids, seq.offsets)):
+        if seg != 1 or off is None:
+            continue
+        if off[0] <= start_char < off[1]:
+            start_tok = pos
+        if off[0] < end_char <= off[1]:
+            end_tok = pos
+    if start_tok is None or end_tok is None or end_tok < start_tok:
+        return None
+    return start_tok, end_tok
+
+
+@dataclass(frozen=True)
+class SpanTask(Task):
+    name = "mrc"
+    head_kind = "span"
+    head_cls = SpanHead
+
+    def segments(self, ex: MrcExample):
+        return (ex.question, ex.context)
+
+    def target(self, ex: MrcExample, seq):
+        if ex.answer is None:
+            if not _context_positions(seq).any():
+                raise ValueError("context empty after truncation")
+            return None
+        span = _token_span(seq, *ex.answer)
+        if span is None:
+            raise ValueError("answer outside the truncated context")
+        return span
+
+    def encode(self, items, vocab, max_len) -> Encoded:
+        data = super().encode(items, vocab, max_len)
+        data.valid = np.array(
+            [_context_positions(s) for s in data.seqs], dtype=bool
+        ).reshape(data.n, max_len)
+        return data
+
+    def loss_and_grad(self, head, hidden, batch):
+        n = hidden.shape[0]
+        rows = np.arange(n)
+        d_hidden = np.zeros_like(hidden)
+        head_grads = {}
+        loss = 0.0
+        for scores_w, scores_b, gold, w_name, b_name in (
+            (head.w_start, head.b_start, batch.gold[:, 0], "w_start", "b_start"),
+            (head.w_end, head.b_end, batch.gold[:, 1], "w_end", "b_end"),
+        ):
+            scores = hidden @ scores_w + scores_b[0]
+            logp = _log_softmax(scores, batch.valid)
+            loss += float(-0.5 * logp[rows, gold].mean())
+            d_scores = np.exp(logp)
+            d_scores[rows, gold] -= 1.0
+            d_scores *= 0.5 / n
+            d_scores = d_scores.astype(hidden.dtype)
+            head_grads[w_name] = np.einsum("btd,bt->d", hidden, d_scores)
+            head_grads[b_name] = np.array([d_scores.sum()], dtype=hidden.dtype)
+            d_hidden += d_scores[:, :, None] * scores_w[None, None, :]
+        return loss, head_grads, d_hidden
+
+    def predict(self, head, hidden, batch) -> list[SpanPrediction]:
+        """The best span of each row, scored over the row's own length, as
+        when the row runs alone."""
+        out = []
+        for k, (ex, seq) in enumerate(zip(batch.items, batch.seqs)):
+            t = inference_length(batch.mask[k : k + 1], batch.mask.shape[1])
+            h = hidden[k, :t]
+            i, j = select_span(
+                h @ head.w_start + head.b_start[0],
+                h @ head.w_end + head.b_end[0],
+                batch.valid[k, :t],
+                self.max_span_len,
+            )
+            text = ex.context[seq.offsets[i][0] : seq.offsets[j][1]]
+            out.append(SpanPrediction(start_token=i, end_token=j, text=text))
+        return out
+
+    def dev_metric(self, preds, data: Encoded) -> float:
+        """Exact-match rate of the span texts."""
+        hits = sum(
+            p.text == ex.context[ex.answer[0] : ex.answer[1]]
+            for p, ex in zip(preds, data.items)
+        )
+        return hits / data.n
+
+
+TASKS = {cls.name: cls for cls in (SentimentTask, MatchTask, SpanTask)}
+
+
+def task_for_head(kind: str) -> type[Task]:
+    for cls in TASKS.values():
+        if cls.head_kind == kind:
+            return cls
+    raise ValueError(f"unknown head kind {kind!r}")
+
+
+def _predict_one(task: Task, params, config, vocab, head, item):
+    data = task.encode([item], vocab, config.max_len)
+    if data.errors:
+        raise ValueError(data.errors[0])
+    return task.run(params, config, head, data)[0]
+
+
+def predict_sentiment(
+    params: EncoderParams, config: EncoderConfig, vocab: Vocab, head: SentimentHead, text: str
+) -> SentimentPrediction:
+    """Single-text sentiment prediction, a batch of one."""
+    return _predict_one(SentimentTask(), params, config, vocab, head, Document("", text, text))
+
+
+def score_entity(
+    params: EncoderParams, config: EncoderConfig, vocab: Vocab, head: MatchHead,
+    entity: str, text: str,
+) -> float:
+    """Key-entity probability for one (entity, text) pair, a batch of one."""
+    return _predict_one(MatchTask(), params, config, vocab, head, PairExample("", entity, text))
+
+
+def extract_span(
+    params: EncoderParams, config: EncoderConfig, vocab: Vocab, head: SpanHead,
+    question: str, context: str, max_span_len: int = DEFAULT_MAX_SPAN_LEN,
+) -> SpanPrediction:
+    """Best answer span in the context for the question, a batch of one."""
+    task = SpanTask(max_span_len=max_span_len)
+    return _predict_one(task, params, config, vocab, head, MrcExample("", question, context))
 
 
 # ---------------------------------------------------------------------------

@@ -15,42 +15,38 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .corpus import Document, MrcExample, PairExample, SentimentLabel
+from .corpus import CorpusError, Document
 from .encoder import (
     EncoderConfig,
     EncoderParams,
     LayerParams,
     backward_batch,
     forward_batch,
-    forward_inference,
     init_params,
 )
 from .tasks import (
+    TASKS,
+    Encoded,
     FocalConfig,
-    MatchHead,
-    SentimentHead,
-    SpanHead,
+    SentimentPrediction,
     SpanPrediction,
+    Task,
     extract_span,
-    focal_loss_from_logits,
     init_head,
     predict_sentiment,
     score_entity,
-    select_span,
+    task_for_head,
 )
-from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single, vocab_from_texts
+from .tokenizer import Vocab, vocab_from_texts
 
 logger = logging.getLogger(__name__)
-
-TASKS = ("sentiment", "match", "mrc")
 
 
 class NumericalError(RuntimeError):
@@ -75,7 +71,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
+            raise ValueError(f"task must be one of {tuple(TASKS)}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.learning_rate < 0:
@@ -98,24 +94,7 @@ class TrainConfig:
         return FocalConfig(gamma=0.0, alpha=None)
 
     def to_dict(self) -> dict:
-        out = {
-            "task": self.task,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "max_len": self.max_len,
-            "loss": self.loss,
-            "focal": None
-            if self.focal is None
-            else {"gamma": self.focal.gamma, "alpha": self.focal.alpha},
-            "threshold": self.threshold,
-            "clip_norm": self.clip_norm,
-        }
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -128,17 +107,35 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class FoldSplit:
-    """Disjoint index folds covering 0..n-1 with sizes differing by <= 1."""
+    """Disjoint index folds covering 0..n-1."""
 
     folds: tuple[tuple[int, ...], ...]
 
 
 def kfold_split(n: int, k: int, seed: int) -> FoldSplit:
-    """Shuffle 0..n-1 with the seed and deal the indices round-robin."""
+    """Shuffle 0..n-1 with the seed and deal the indices round-robin, so
+    fold sizes differ by at most one."""
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
     return FoldSplit(tuple(tuple(int(i) for i in perm[f::k]) for f in range(k)))
+
+
+def document_folds(dataset, k: int, seed: int) -> FoldSplit:
+    """kfold_split over the documents of a dataset, expanded to its examples.
+
+    Examples are Documents or carry the ``doc_id`` of their document.  All
+    examples of a document land in one fold, so a held-out fold shares no
+    document with the others.  With one example per document this is
+    ``kfold_split(len(dataset), k, seed)``.
+    """
+    positions: dict[str, list[int]] = {}
+    for pos, item in enumerate(dataset):
+        doc_id = item.id if isinstance(item, Document) else item.doc_id
+        positions.setdefault(doc_id, []).append(pos)
+    docs = list(positions.values())
+    split = kfold_split(len(docs), k, seed)
+    return FoldSplit(tuple(tuple(p for i in fold for p in docs[i]) for fold in split.folds))
 
 
 class Adam:
@@ -182,250 +179,8 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dataset encoding
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Encoded:
-    ids: np.ndarray  # (n, max_len)
-    mask: np.ndarray  # (n, max_len)
-    labels: Optional[np.ndarray] = None  # sentiment/match
-    doc_ids: Optional[list[str]] = None  # match grouping
-    entities: Optional[list[str]] = None  # match grouping
-    gold_start: Optional[np.ndarray] = None  # mrc
-    gold_end: Optional[np.ndarray] = None  # mrc
-    valid: Optional[np.ndarray] = None  # mrc (n, max_len) bool
-    seqs: Optional[list[TokenSequence]] = None  # mrc span recovery
-    examples: Optional[list] = None  # mrc originals
-    n_skipped: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.ids.shape[0]
-
-
-def _stack(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([s.ids for s in seqs], dtype=np.int64)
-    mask = np.array([s.attention_mask for s in seqs], dtype=np.int64)
-    return ids, mask
-
-
-_SENTIMENT_INDEX = {SentimentLabel.NEGATIVE: 0, SentimentLabel.POSITIVE: 1}
-
-
-def _encode_sentiment(docs: list[Document], vocab: Vocab, max_len: int) -> _Encoded:
-    seqs, labels = [], []
-    for doc in docs:
-        if doc.sentiment is None:
-            raise ValueError(f"document {doc.id!r} has no sentiment label")
-        seqs.append(encode_single(doc.cleaned_text, vocab, max_len))
-        labels.append(_SENTIMENT_INDEX[doc.sentiment])
-    ids, mask = _stack(seqs)
-    return _Encoded(ids, mask, labels=np.array(labels, dtype=np.int64))
-
-
-def _encode_match(pairs: list[PairExample], vocab: Vocab, max_len: int) -> _Encoded:
-    seqs, labels, doc_ids, entities = [], [], [], []
-    for ex in pairs:
-        if ex.label is None:
-            raise ValueError(f"pair for doc {ex.doc_id!r} has no label")
-        seqs.append(encode_pair(ex.entity, ex.text, vocab, max_len))
-        labels.append(ex.label)
-        doc_ids.append(ex.doc_id)
-        entities.append(ex.entity)
-    ids, mask = _stack(seqs)
-    return _Encoded(
-        ids, mask,
-        labels=np.array(labels, dtype=np.int64),
-        doc_ids=doc_ids,
-        entities=entities,
-    )
-
-
-def _token_span(seq: TokenSequence, start_char: int, end_char: int):
-    start_tok = end_tok = None
-    for pos, (seg, off) in enumerate(zip(seq.segment_ids, seq.offsets)):
-        if seg != 1 or off is None:
-            continue
-        if off[0] <= start_char < off[1]:
-            start_tok = pos
-        if off[0] < end_char <= off[1]:
-            end_tok = pos
-    if start_tok is None or end_tok is None or end_tok < start_tok:
-        return None
-    return start_tok, end_tok
-
-
-def _encode_mrc(examples: list[MrcExample], vocab: Vocab, max_len: int) -> _Encoded:
-    seqs, starts, ends, kept = [], [], [], []
-    skipped = 0
-    for ex in examples:
-        if ex.answer is None:
-            raise ValueError(f"mrc example for doc {ex.doc_id!r} has no answer")
-        seq = encode_pair(ex.question, ex.context, vocab, max_len)
-        span = _token_span(seq, *ex.answer)
-        if span is None:
-            skipped += 1
-            continue
-        seqs.append(seq)
-        starts.append(span[0])
-        ends.append(span[1])
-        kept.append(ex)
-    if skipped:
-        logger.warning("mrc encoding: skipped %d examples whose answer fell outside the truncated context", skipped)
-    if not seqs:
-        raise ValueError("no usable mrc examples after encoding")
-    ids, mask = _stack(seqs)
-    valid = np.array(
-        [
-            [seg == 1 and off is not None for seg, off in zip(s.segment_ids, s.offsets)]
-            for s in seqs
-        ],
-        dtype=bool,
-    )
-    return _Encoded(
-        ids, mask,
-        gold_start=np.array(starts, dtype=np.int64),
-        gold_end=np.array(ends, dtype=np.int64),
-        valid=valid,
-        seqs=seqs,
-        examples=kept,
-        n_skipped=skipped,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batch steps (loss + gradients) per task
-# ---------------------------------------------------------------------------
-
-
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def _sentiment_step(params, head, enc_cfg, ids, mask, gold, training, rng):
-    cache: dict = {}
-    hidden = forward_batch(params, enc_cfg, ids, mask, training=training, rng=rng, cache=cache)
-    pooled = hidden[:, 0, :]
-    logits = pooled @ head.w + head.b
-    logp = _log_softmax_rows(logits.astype(np.float64))
-    rows = np.arange(ids.shape[0])
-    loss = float(-logp[rows, gold].mean())
-    dlogits = np.exp(logp)
-    dlogits[rows, gold] -= 1.0
-    dlogits /= ids.shape[0]
-    dlogits = dlogits.astype(enc_cfg.np_dtype)
-    head_grads = {"w": pooled.T @ dlogits, "b": dlogits.sum(axis=0)}
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 0, :] = dlogits @ head.w.T
-    return loss, backward_batch(params, enc_cfg, cache, d_hidden), head_grads
-
-
-def _match_step(params, head, enc_cfg, ids, mask, gold, focal_cfg, training, rng):
-    cache: dict = {}
-    hidden = forward_batch(params, enc_cfg, ids, mask, training=training, rng=rng, cache=cache)
-    pooled = hidden[:, 0, :]
-    z = pooled @ head.w + head.b[0]
-    losses, dz = focal_loss_from_logits(z, gold, focal_cfg)
-    loss = float(losses.mean())
-    dz = (dz / ids.shape[0]).astype(enc_cfg.np_dtype)
-    head_grads = {"w": pooled.T @ dz, "b": np.array([dz.sum()], dtype=enc_cfg.np_dtype)}
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 0, :] = dz[:, None] * head.w[None, :]
-    return loss, backward_batch(params, enc_cfg, cache, d_hidden), head_grads
-
-
-def _masked_log_softmax(scores: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    z = np.where(valid, scores.astype(np.float64), -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return z - np.log(e.sum(axis=-1, keepdims=True))
-
-
-def _mrc_step(params, head, enc_cfg, ids, mask, valid, gold_s, gold_e, training, rng):
-    cache: dict = {}
-    hidden = forward_batch(params, enc_cfg, ids, mask, training=training, rng=rng, cache=cache)
-    n = ids.shape[0]
-    rows = np.arange(n)
-    d_hidden = np.zeros_like(hidden)
-    head_grads = {}
-    loss = 0.0
-    for scores_w, scores_b, gold, w_name, b_name in (
-        (head.w_start, head.b_start, gold_s, "w_start", "b_start"),
-        (head.w_end, head.b_end, gold_e, "w_end", "b_end"),
-    ):
-        scores = hidden @ scores_w + scores_b[0]
-        logp = _masked_log_softmax(scores, valid)
-        loss += float(-0.5 * logp[rows, gold].mean())
-        d_scores = np.exp(logp)
-        d_scores[rows, gold] -= 1.0
-        d_scores *= 0.5 / n
-        d_scores = d_scores.astype(enc_cfg.np_dtype)
-        head_grads[w_name] = np.einsum("btd,bt->d", hidden, d_scores)
-        head_grads[b_name] = np.array([d_scores.sum()], dtype=enc_cfg.np_dtype)
-        d_hidden += d_scores[:, :, None] * scores_w[None, None, :]
-    return loss, backward_batch(params, enc_cfg, cache, d_hidden), head_grads
-
-
-# ---------------------------------------------------------------------------
-# Dev metrics
-# ---------------------------------------------------------------------------
-
-
-def _dev_sentiment(params, head, enc_cfg, data: _Encoded) -> float:
-    pooled = forward_inference(params, enc_cfg, data.ids, data.mask)[:, 0, :]
-    logits = pooled @ head.w + head.b
-    pred = np.where(logits[:, 0] >= logits[:, 1], 0, 1)
-    return float((pred == data.labels).mean())
-
-
-def _dev_match_f1(params, head, enc_cfg, data: _Encoded, threshold: float) -> float:
-    from .evaluation import entity_prf
-
-    pooled = forward_inference(params, enc_cfg, data.ids, data.mask)[:, 0, :]
-    scores = expit(pooled @ head.w + head.b[0])
-    pred_by_doc: dict[str, set] = {}
-    gold_by_doc: dict[str, set] = {}
-    order: list[str] = []
-    for doc_id, entity, score, label in zip(
-        data.doc_ids, data.entities, scores, data.labels
-    ):
-        if doc_id not in pred_by_doc:
-            pred_by_doc[doc_id] = set()
-            gold_by_doc[doc_id] = set()
-            order.append(doc_id)
-        if score >= threshold:
-            pred_by_doc[doc_id].add(entity)
-        if label == 1:
-            gold_by_doc[doc_id].add(entity)
-    metrics = entity_prf(
-        [pred_by_doc[d] for d in order], [gold_by_doc[d] for d in order]
-    )
-    return metrics.f1
-
-
-def _dev_mrc_exact_match(params, head, enc_cfg, data: _Encoded, max_span_len: int) -> float:
-    hidden = forward_inference(params, enc_cfg, data.ids, data.mask)
-    s = hidden @ head.w_start + head.b_start[0]
-    e = hidden @ head.w_end + head.b_end[0]
-    valid = data.valid[:, : hidden.shape[1]]
-    hits = 0
-    for i, (seq, ex) in enumerate(zip(data.seqs, data.examples)):
-        si, sj = select_span(s[i], e[i], valid[i], max_span_len)
-        text = ex.context[seq.offsets[si][0] : seq.offsets[sj][1]]
-        gold = ex.context[ex.answer[0] : ex.answer[1]]
-        hits += int(text == gold)
-    return hits / data.n
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
-
-_HEAD_KINDS = {"sentiment": SentimentHead, "match": MatchHead, "span": SpanHead}
-_TASK_HEAD = {"sentiment": "sentiment", "match": "match", "mrc": "span"}
 
 _CKPT_MAGIC = b"FINKEYCKPT1\n"
 
@@ -443,43 +198,41 @@ class Checkpoint:
     dev_score: float
     seed: int
 
-    def predict_sentiment(self, text: str, seq: Optional[TokenSequence] = None):
-        if self.head_kind != "sentiment":
-            raise ValueError("not a sentiment checkpoint")
-        return predict_sentiment(
-            self.encoder_params, self.encoder_config, self.vocab, self.head, text, seq
-        )
+    def _expect(self, kind: str) -> None:
+        if self.head_kind != kind:
+            raise ValueError(f"not a {kind} checkpoint")
 
-    def score_entity(self, entity: str, text: str, seq: Optional[TokenSequence] = None) -> float:
-        if self.head_kind != "match":
-            raise ValueError("not a match checkpoint")
-        return score_entity(
-            self.encoder_params, self.encoder_config, self.vocab, self.head, entity, text, seq
-        )
+    def predict(self, task: Task, data: Encoded) -> list:
+        """The task's predictions for inputs encoded with this vocabulary."""
+        self._expect(task.head_kind)
+        return task.run(self.encoder_params, self.encoder_config, self.head, data)
+
+    def predict_sentiment(self, text: str) -> SentimentPrediction:
+        self._expect("sentiment")
+        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
+        return predict_sentiment(params, config, vocab, head, text)
+
+    def score_entity(self, entity: str, text: str) -> float:
+        self._expect("match")
+        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
+        return score_entity(params, config, vocab, head, entity, text)
 
     def extract_span(self, question: str, context: str, max_span_len: int = 16) -> SpanPrediction:
-        if self.head_kind != "span":
-            raise ValueError("not a span checkpoint")
-        return extract_span(
-            self.encoder_params,
-            self.encoder_config,
-            self.vocab,
-            self.head,
-            question,
-            context,
-            max_span_len,
-        )
+        self._expect("span")
+        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
+        return extract_span(params, config, vocab, head, question, context, max_span_len)
 
 
-def _named_tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    out = [(f"encoder.{n}", a) for n, a in ckpt.encoder_params.named()]
-    out += [(f"head.{n}", a) for n, a in ckpt.head.named()]
+def _flat(encoder: EncoderParams, head_named) -> dict[str, np.ndarray]:
+    """Encoder and head tensors under their checkpoint names, in order."""
+    out = {f"encoder.{n}": a for n, a in encoder.named()}
+    out.update({f"head.{n}": a for n, a in head_named})
     return out
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the versioned binary layout (see README); bit-exact."""
-    tensors = _named_tensors(ckpt)
+    tensors = _flat(ckpt.encoder_params, ckpt.head.named()).items()
     index = []
     offset = 0
     for name, arr in tensors:
@@ -544,13 +297,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tensors[entry["name"]] = arr
     enc_cfg = EncoderConfig(**header["encoder_config"])
     head_kind = header["head_kind"]
-    head_cls = _HEAD_KINDS[head_kind]
-    head = head_cls(
-        **{
-            name: tensors[f"head.{name}"]
-            for name in head_cls.__dataclass_fields__
-        }
-    )
+    head_cls = task_for_head(head_kind).head_cls
+    head = head_cls(**{name: tensors[f"head.{name}"] for name in head_cls.__dataclass_fields__})
     vocab_tokens = header["vocab"]
     if len(vocab_tokens) < 4:
         raise ValueError(f"{path}: truncated vocabulary in checkpoint header")
@@ -581,20 +329,32 @@ class TrainResult:
     n_dev_skipped: int = 0
 
 
-def _dataset_texts(dataset, task: str):
-    if task == "sentiment":
-        return (doc.cleaned_text for doc in dataset)
-    if task == "match":
-        return (t for ex in dataset for t in (ex.entity, ex.text))
-    return (t for ex in dataset for t in (ex.question, ex.context))
+def _encode_labeled(task: Task, examples, vocab: Vocab, max_len: int) -> Encoded:
+    """Training or dev examples encoded; examples that do not encode are
+    skipped with a warning."""
+    data = task.encode(examples, vocab, max_len)
+    if data.gold is None:
+        raise ValueError(f"{task.name} training and dev examples must all be labeled")
+    if data.errors:
+        first = min(data.errors)
+        logger.warning(
+            "%s encoding: skipped %d of %d examples (first: %s)",
+            task.name, len(data.errors), len(examples), data.errors[first],
+        )
+    if not data.n:
+        raise CorpusError(f"no usable {task.name} examples after encoding")
+    return data
 
 
-def _encode_dataset(dataset, task, vocab, max_len) -> _Encoded:
-    if task == "sentiment":
-        return _encode_sentiment(dataset, vocab, max_len)
-    if task == "match":
-        return _encode_match(dataset, vocab, max_len)
-    return _encode_mrc(dataset, vocab, max_len)
+def _train_step(task: Task, params, enc_cfg, head, batch: Encoded, rng):
+    """Loss and flat gradients of one training batch.  The activation cache
+    is freed on return, before the next batch or the dev evaluation."""
+    cache: dict = {}
+    hidden = forward_batch(
+        params, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache
+    )
+    loss, head_grads, d_hidden = task.loss_and_grad(head, hidden, batch)
+    return loss, _flat(backward_batch(params, enc_cfg, cache, d_hidden), head_grads.items())
 
 
 def train(
@@ -615,9 +375,12 @@ def train(
     """
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be non-empty")
+    task = TASKS[cfg.task](
+        focal=cfg.focal_config(), threshold=cfg.threshold, max_span_len=max_span_len
+    )
     if vocab is None:
         vocab = vocab_from_texts(
-            _dataset_texts(train_set, cfg.task),
+            (text for item in train_set for text in task.segments(item)),
             min_freq=vocab_min_freq,
             max_size=vocab_max_size,
         )
@@ -627,63 +390,35 @@ def train(
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(enc_cfg, cfg.seed)
-    head_kind = _TASK_HEAD[cfg.task]
-    head = init_head(head_kind, enc_cfg.d_model, rng, enc_cfg.np_dtype)
+    head = init_head(task.head_kind, enc_cfg.d_model, rng, enc_cfg.np_dtype)
 
-    train_data = _encode_dataset(train_set, cfg.task, vocab, cfg.max_len)
-    dev_data = _encode_dataset(dev_set, cfg.task, vocab, cfg.max_len)
+    train_data = _encode_labeled(task, train_set, vocab, cfg.max_len)
+    dev_data = _encode_labeled(task, dev_set, vocab, cfg.max_len)
 
-    flat_params = {f"encoder.{n}": a for n, a in params.named()}
-    flat_params.update({f"head.{n}": a for n, a in head.named()})
+    flat_params = _flat(params, head.named())
     adam = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    focal_cfg = cfg.focal_config()
-
-    def dev_score() -> float:
-        if cfg.task == "sentiment":
-            return _dev_sentiment(params, head, enc_cfg, dev_data)
-        if cfg.task == "match":
-            return _dev_match_f1(params, head, enc_cfg, dev_data, cfg.threshold)
-        return _dev_mrc_exact_match(params, head, enc_cfg, dev_data, max_span_len)
 
     best_score = -1.0
     best_params = None
     best_head = None
     epoch_losses: list[float] = []
     epoch_scores: list[float] = []
-    n = train_data.n
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(train_data.n)
         batch_losses = []
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            sel = order[start : start + cfg.batch_size]
-            ids = train_data.ids[sel]
-            mask = train_data.mask[sel]
-            if cfg.task == "sentiment":
-                loss, enc_grads, head_grads = _sentiment_step(
-                    params, head, enc_cfg, ids, mask, train_data.labels[sel], True, rng
-                )
-            elif cfg.task == "match":
-                loss, enc_grads, head_grads = _match_step(
-                    params, head, enc_cfg, ids, mask, train_data.labels[sel],
-                    focal_cfg, True, rng,
-                )
-            else:
-                loss, enc_grads, head_grads = _mrc_step(
-                    params, head, enc_cfg, ids, mask, train_data.valid[sel],
-                    train_data.gold_start[sel], train_data.gold_end[sel], True, rng,
-                )
+        for bi, start in enumerate(range(0, train_data.n, cfg.batch_size)):
+            batch = train_data.rows(order[start : start + cfg.batch_size])
+            loss, flat_grads = _train_step(task, params, enc_cfg, head, batch, rng)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch} at batch {bi}"
                 )
-            flat_grads = {f"encoder.{g}": a for g, a in enc_grads.named()}
-            flat_grads.update({f"head.{g}": a for g, a in head_grads.items()})
             clip_by_global_norm(flat_grads, cfg.clip_norm)
             adam.step(flat_params, flat_grads)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-        score = dev_score()
+        score = task.dev_metric(task.run(params, enc_cfg, head, dev_data), dev_data)
         epoch_scores.append(score)
         if score > best_score:
             best_score = score
@@ -694,7 +429,7 @@ def train(
         encoder_params=best_params,
         encoder_config=enc_cfg,
         head=best_head,
-        head_kind=head_kind,
+        head_kind=task.head_kind,
         vocab=vocab,
         train_config=cfg,
         dev_score=best_score,
@@ -704,8 +439,8 @@ def train(
         checkpoint=ckpt,
         epoch_losses=epoch_losses,
         epoch_dev_scores=epoch_scores,
-        n_train_skipped=train_data.n_skipped,
-        n_dev_skipped=dev_data.n_skipped,
+        n_train_skipped=len(train_data.errors),
+        n_dev_skipped=len(dev_data.errors),
     )
 
 
@@ -718,8 +453,9 @@ class CrossValResult:
 def cross_validate(
     dataset, cfg: TrainConfig, k: int, encoder: Optional[EncoderConfig] = None, **train_kwargs
 ) -> CrossValResult:
-    """k-fold cross-validation: each fold is held out once as the dev set."""
-    split = kfold_split(len(dataset), k, cfg.seed)
+    """k-fold cross-validation over documents (``document_folds``): each
+    fold is held out once as the dev set."""
+    split = document_folds(dataset, k, cfg.seed)
     scores = []
     for fold in split.folds:
         held = set(fold)

@@ -24,7 +24,6 @@ from finkey.encoder import (
 from finkey.evaluation import (
     EnsembleSpec,
     ensemble_train_select,
-    entity_prf,
     run_pipeline,
     vote_sentiment,
 )
@@ -38,6 +37,7 @@ from finkey.tasks import (
     classical_predict,
     cross_entropy,
     detect_key_entities,
+    entity_prf,
     focal_loss,
     focal_loss_from_logits,
     init_head,

@@ -115,6 +115,56 @@ class TestBuildVocab:
         assert lines[0] == "[PAD]\t0"
 
 
+# Bad inputs: (expected exit code, fragment of the one-line message).
+BAD_INPUTS = {
+    "unknown_focal_key": (2, "bad match training section"),
+    "malformed_vocab": (2, "bad vocab file"),
+    "non_checkpoint_file": (2, "not a checkpoint file"),
+    "malformed_predictions": (1, "not valid JSON"),
+    "no_usable_mrc_examples": (1, "no usable mrc examples"),
+}
+
+
+def bad_input_argv(tmp_path, case):
+    """Command line for one bad input; corpus.jsonl holds sentiment documents."""
+    corpus = str(tmp_path / "corpus.jsonl")
+    paths = {"corpus": corpus, "schema": "dataset-1", "checkpoints": str(tmp_path / "ckpts")}
+    if case == "unknown_focal_key":
+        path, _ = write_config(tmp_path, match={"loss": "focal", "focal": {"gamma": 2.0, "beta": 1}})
+        return ["train", "--task", "match", "--config", str(path)]
+    if case == "malformed_vocab":
+        (tmp_path / "vocab.tsv").write_text("[PAD]\tzero\n", encoding="utf-8")
+        path, _ = write_config(tmp_path, paths={**paths, "vocab": str(tmp_path / "vocab.tsv")})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    if case == "non_checkpoint_file":
+        (tmp_path / "bad.ckpt").write_text("not a checkpoint", encoding="utf-8")
+        path, _ = write_config(tmp_path, pipeline={
+            "mode": "coarse",
+            "sentiment_checkpoints": [str(tmp_path / "bad.ckpt")],
+            "matcher_checkpoints": [str(tmp_path / "bad.ckpt")],
+        })
+        return ["pipeline", "--config", str(path), "--input", corpus,
+                "--output", str(tmp_path / "out.jsonl")]
+    if case == "malformed_predictions":
+        (tmp_path / "preds.jsonl").write_text('{"id": "a"\n', encoding="utf-8")
+        return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"), "--gold", corpus,
+                "--task", "sentiment"]
+    # Every question is longer than max_len, so no example encodes.
+    save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
+    path, _ = write_config(tmp_path, mrc={
+        "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2", "max_len": 8,
+        "epochs": 1, "template": "which of the companies involves {tag}?",
+    })
+    return ["train", "--task", "mrc", "--config", str(path)]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code_and_message(sentiment_setup, tmp_path, capsys, case):
+    code, fragment = BAD_INPUTS[case]
+    assert main(bad_input_argv(tmp_path, case)) == code
+    assert fragment in capsys.readouterr().err.splitlines()[-1]
+
+
 class TestTrainCommand:
     def test_deterministic_rerun_byte_identical(self, sentiment_setup, tmp_path):
         _, config_path, _ = sentiment_setup

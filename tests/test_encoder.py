@@ -210,6 +210,12 @@ class TestTrimmedInference:
         assert inference_length(np.zeros((3, 20)), 20) == 8
         assert inference_length(np.zeros((3, 5)), 5) == 5
 
+    def test_zero_rows_give_empty_result(self, vocab):
+        cfg = tiny_config(vocab)
+        ids = np.zeros((0, cfg.max_len), dtype=np.int64)
+        hidden = forward_inference(init_params(cfg, 0), cfg, ids, ids)
+        assert hidden.shape == (0, 8, cfg.d_model)
+
 
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):
     """All-coordinate central-difference check of backward().

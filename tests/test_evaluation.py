@@ -3,20 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import finkey.evaluation
 import finkey.tasks
 from finkey.corpus import Document, SentimentLabel, clean_text, Lexicon
 from finkey.encoder import EncoderConfig
 from finkey.evaluation import (
     EnsembleSpec,
-    EntityMetrics,
-    accuracy,
     ensemble_train_select,
-    entity_prf,
     run_pipeline,
     vote_key_entities,
     vote_sentiment,
 )
-from finkey.tasks import SentimentPrediction
+from finkey.tasks import EntityMetrics, SentimentPrediction, accuracy, entity_prf
 from finkey.training import TrainConfig, train
 
 NEG = SentimentLabel.NEGATIVE
@@ -293,6 +291,29 @@ def matcher_members(shared_vocab):
     )
 
 
+def _biased(members, bias):
+    """Copies of sentiment members whose head bias decides every document."""
+    return [replace(m, head=replace(m.head, b=np.array(bias, dtype=m.head.b.dtype))) for m in members]
+
+
+def _span_checkpoint(vocab):
+    from finkey.encoder import init_params
+    from finkey.tasks import init_head
+    from finkey.training import Checkpoint
+
+    enc = replace(SMALL_ENC, vocab_size=vocab.size)
+    return Checkpoint(
+        encoder_params=init_params(enc, 7),
+        encoder_config=enc,
+        head=init_head("span", enc.d_model, np.random.default_rng(7)),
+        head_kind="span",
+        vocab=vocab,
+        train_config=TrainConfig(task="mrc", max_len=enc.max_len),
+        dev_score=0.0,
+        seed=7,
+    )
+
+
 class TestRunPipeline:
     def test_positive_docs_get_no_entity_output(self, sentiment_members, matcher_members):
         docs = tiny_corpus(12, seed=9)
@@ -359,17 +380,48 @@ class TestRunPipeline:
             assert first.error is not None
             assert result.counters["errors"] >= 1
 
-    def test_threads_preserve_order(self, sentiment_members, matcher_members):
-        docs = tiny_corpus(16, seed=11)
-        serial = run_pipeline(
-            docs, sentiment_members, mode="coarse", matcher_members=matcher_members,
+    def test_block_boundaries_preserve_order(self, sentiment_members, matcher_members):
+        # Two full blocks and a partial one; in the second block one
+        # document's entity does not fit max_len and one has no entity list.
+        block = finkey.evaluation._BLOCK_DOCS
+        docs = tiny_corpus(2 * block + 3, seed=11)
+        bad = block + block // 2
+        docs[bad] = replace(docs[bad], entity_list=["alpha " * 20, "alpha"])
+        docs[bad + 1] = replace(docs[bad + 1], entity_list=None)
+        for members in (sentiment_members, _biased(sentiment_members, [50.0, 0.0])):
+            batched = run_pipeline(docs, members, mode="coarse", matcher_members=matcher_members)
+            single = [
+                run_pipeline([d], members, mode="coarse", matcher_members=matcher_members)
+                for d in docs
+            ]
+            assert [d.doc_id for d in batched.documents] == [d.id for d in docs]
+            assert batched.documents == [r.documents[0] for r in single]
+            for key, value in batched.counters.items():
+                assert value == sum(r.counters[key] for r in single)
+        # With every document negative, exactly the two bad ones fail.
+        assert [i for i, r in enumerate(batched.documents) if r.error] == [bad, bad + 1]
+        assert "first segment too long" in batched.documents[bad].error
+        assert all(r.error or r.key_entities is not None for r in batched.documents)
+
+    @pytest.mark.parametrize("mode", ["coarse", "fine"])
+    def test_empty_input_and_all_positive_block(
+        self, sentiment_members, matcher_members, shared_vocab, mode
+    ):
+        stage2 = (
+            {"matcher_members": matcher_members}
+            if mode == "coarse"
+            else {"mrc_checkpoint": _span_checkpoint(shared_vocab)}
         )
-        threaded = run_pipeline(
-            docs, sentiment_members, mode="coarse", matcher_members=matcher_members,
-            threads=4,
-        )
-        assert [d.doc_id for d in threaded.documents] == [d.doc_id for d in serial.documents]
-        assert threaded.documents == serial.documents
+        empty = run_pipeline([], sentiment_members, mode=mode, **stage2)
+        assert empty.documents == [] and set(empty.counters.values()) == {0}
+        docs = [replace(d, tag="alpha") for d in tiny_corpus(5, seed=2)]
+        positive = run_pipeline(docs, _biased(sentiment_members, [0.0, 50.0]), mode=mode, **stage2)
+        assert [r.sentiment for r in positive.documents] == [POS] * 5
+        assert positive.counters["predicted_positive"] == 5
+        assert all(r.key_entities is None and r.span_text is None for r in positive.documents)
+        negative = run_pipeline(docs, _biased(sentiment_members, [50.0, 0.0]), mode=mode, **stage2)
+        assert negative.counters["predicted_negative"] == 5
+        assert negative.counters["errors"] == 0
 
     def test_each_text_encoded_once_per_max_len(
         self, sentiment_members, matcher_members, monkeypatch

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import finkey.tasks
-from finkey.corpus import SentimentLabel
-from finkey.encoder import EncoderConfig, forward, init_params
+import finkey.encoder
+from finkey.corpus import Document, MrcExample, PairExample, SentimentLabel
+from finkey.encoder import EncoderConfig, init_params
 from finkey.tasks import (
     FocalConfig,
+    MatchTask,
+    SentimentTask,
+    SpanTask,
     build_question,
     classical_fit,
     classical_predict,
@@ -22,7 +27,7 @@ from finkey.tasks import (
     select_span,
     span_loss,
 )
-from finkey.tokenizer import encode_pair, vocab_from_texts
+from finkey.tokenizer import Vocab, encode_pair, vocab_from_texts
 
 
 class TestCrossEntropy:
@@ -358,8 +363,8 @@ class TestPredictionOps:
 
 
 class TestTrimmedPrediction:
-    """The predictors run over the trimmed prefix; the reference runs them
-    with a full-length forward in its place."""
+    """The predictors run over the trimmed prefix; the reference rounds
+    every length up to max_len, so it runs them at full length."""
 
     TEXTS = ["alpha", "beta gamma one two", " ".join(["one two three four"] * 12)]
 
@@ -388,8 +393,57 @@ class TestTrimmedPrediction:
         # contraction in blocks that padding to a multiple of 8 keeps intact;
         # it held for OpenBLAS at d_head 12.
         trimmed = self.predict_all(*model)
-        monkeypatch.setattr(finkey.tasks, "forward_trimmed", forward)
+        monkeypatch.setattr(finkey.encoder, "_LENGTH_MULTIPLE", 10**6)
         assert trimmed == self.predict_all(*model)
+
+
+WORDS = ["alpha", "beta", "gamma", "one", "two", "three", "four", "loss", "gain"]
+
+
+@st.composite
+def mixed_length_inputs(draw):
+    """A model at d_head 8 or 12 and texts of mixed real lengths."""
+    d_head = draw(st.sampled_from([8, 12]))
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    cfg = EncoderConfig(
+        vocab_size=len(WORDS) + 4, d_model=d_head * n_heads, n_heads=n_heads,
+        n_layers=draw(st.integers(1, 2)), d_ff=2 * d_head * n_heads,
+        max_len=draw(st.integers(8, 48)), dropout_rate=0.0,
+    )
+    lengths = draw(st.lists(st.integers(1, 50), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    texts = [" ".join(rng.choice(WORDS, size=n)) for n in lengths]
+    return cfg, init_params(cfg, draw(st.integers(0, 99))), texts, rng
+
+
+class TestBatchEqualsSingle:
+    """A batch gives each row exactly what the row gives alone."""
+
+    @given(mixed_length_inputs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_all_heads(self, drawn):
+        cfg, params, texts, rng = drawn
+        vocab = Vocab.from_tokens(WORDS)
+        heads = {kind: init_head(kind, cfg.d_model, rng) for kind in ("sentiment", "match", "span")}
+        docs = [Document(str(i), t, t) for i, t in enumerate(texts)]
+        pairs = [PairExample(str(i), "gain", t) for i, t in enumerate(texts)]
+        questions = [MrcExample(str(i), "loss?", t) for i, t in enumerate(texts)]
+        for task, items, single in (
+            (SentimentTask(), docs, lambda h, d: predict_sentiment(params, cfg, vocab, h, d.cleaned_text)),
+            (MatchTask(), pairs, lambda h, p: score_entity(params, cfg, vocab, h, p.entity, p.text)),
+            (SpanTask(), questions, lambda h, q: extract_span(params, cfg, vocab, h, q.question, q.context)),
+        ):
+            head = heads[task.head_kind]
+            data = task.encode(items, vocab, cfg.max_len)
+            assert not data.errors
+            assert task.run(params, cfg, head, data) == [single(head, item) for item in items]
+
+    def test_empty_batch(self, tiny_model):
+        vocab, cfg, params, rng = tiny_model
+        for task in (SentimentTask(), MatchTask(), SpanTask()):
+            data = task.encode([], vocab, cfg.max_len)
+            assert data.ids.shape == (0, cfg.max_len)
+            assert task.run(params, cfg, init_head(task.head_kind, cfg.d_model, rng), data) == []
 
 
 class TestClassicalHeads:

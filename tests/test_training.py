@@ -13,6 +13,7 @@ from finkey.training import (
     TrainConfig,
     clip_by_global_norm,
     cross_validate,
+    document_folds,
     init_params,
     kfold_split,
     load_checkpoint,
@@ -112,6 +113,24 @@ class TestKfoldSplit:
     def test_seed_determinism(self):
         assert kfold_split(20, 4, 7) == kfold_split(20, 4, 7)
         assert kfold_split(20, 4, 7) != kfold_split(20, 4, 8)
+
+
+class TestDocumentFolds:
+    def test_no_document_on_both_sides(self):
+        from finkey.corpus import build_pair_dataset
+        from finkey.synthetic import matcher_corpus
+
+        pairs, _ = build_pair_dataset(matcher_corpus(60, seed=7))
+        split = document_folds(pairs, 5, 3)
+        assert sorted(p for fold in split.folds for p in fold) == list(range(len(pairs)))
+        for fold in split.folds:
+            dev_docs = {pairs[i].doc_id for i in fold}
+            train_docs = {p.doc_id for i, p in enumerate(pairs) if i not in set(fold)}
+            assert dev_docs and not dev_docs & train_docs
+
+    def test_one_example_per_document_is_kfold(self):
+        docs = word_label_corpus(30)
+        assert document_folds(docs, 4, 9) == kfold_split(30, 4, 9)
 
 
 class TestAdamAndClip:
@@ -231,18 +250,19 @@ class TestBatchStepsMatchPerExampleLosses:
         return vocab, enc, params, head
 
     def test_sentiment_step_loss(self):
-        from finkey.tasks import cross_entropy
-        from finkey.tokenizer import encode_single
-        from finkey.training import _sentiment_step, _stack
+        from finkey.corpus import Document
+        from finkey.tasks import SentimentTask, cross_entropy
         from finkey.encoder import forward_batch
 
         vocab, enc, params, head = self.setup_model("sentiment")
         texts = ["loss alpha", "gain beta", "loss gamma one"]
-        gold = np.array([0, 1, 0])
-        seqs = [encode_single(t, vocab, enc.max_len) for t in texts]
-        ids, mask = _stack(seqs)
-        loss, _, _ = _sentiment_step(params, head, enc, ids, mask, gold, False, None)
-        hidden = forward_batch(params, enc, ids, mask)
+        labels = [SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE]
+        docs = [Document(str(i), t, t, sentiment=y) for i, (t, y) in enumerate(zip(texts, labels))]
+        batch = SentimentTask().encode(docs, vocab, enc.max_len)
+        gold = batch.gold
+        assert list(gold) == [0, 1, 0]
+        hidden = forward_batch(params, enc, batch.ids, batch.mask)
+        loss, _, _ = SentimentTask().loss_and_grad(head, hidden, batch)
         expected = np.mean(
             [
                 cross_entropy(hidden[i, 0] @ head.w + head.b, int(gold[i]))[0]
@@ -252,47 +272,39 @@ class TestBatchStepsMatchPerExampleLosses:
         assert loss == pytest.approx(expected, rel=1e-9)
 
     def test_match_step_loss(self):
-        from finkey.tasks import FocalConfig, focal_loss_from_logits
-        from finkey.tokenizer import encode_pair
-        from finkey.training import _match_step, _stack
+        from finkey.corpus import PairExample
+        from finkey.tasks import FocalConfig, MatchTask, focal_loss_from_logits
         from finkey.encoder import forward_batch
 
         vocab, enc, params, head = self.setup_model("match")
         pairs = [("alpha", "loss alpha beta"), ("beta", "gain one two")]
         gold = np.array([1, 0])
-        seqs = [encode_pair(a, b, vocab, enc.max_len) for a, b in pairs]
-        ids, mask = _stack(seqs)
+        examples = [PairExample(str(i), a, b, int(y)) for i, ((a, b), y) in enumerate(zip(pairs, gold))]
+        batch = MatchTask().encode(examples, vocab, enc.max_len)
         fc = FocalConfig(gamma=2.0)
-        loss, _, _ = _match_step(params, head, enc, ids, mask, gold, fc, False, None)
-        hidden = forward_batch(params, enc, ids, mask)
+        hidden = forward_batch(params, enc, batch.ids, batch.mask)
+        loss, _, _ = MatchTask(focal=fc).loss_and_grad(head, hidden, batch)
         z = hidden[:, 0] @ head.w + head.b[0]
         expected = float(focal_loss_from_logits(z, gold, fc)[0].mean())
         assert loss == pytest.approx(expected, rel=1e-9)
 
     def test_mrc_step_loss(self):
-        from finkey.tasks import span_loss
-        from finkey.tokenizer import encode_pair
-        from finkey.training import _mrc_step, _stack
+        from finkey.corpus import MrcExample
+        from finkey.tasks import SpanTask, span_loss
         from finkey.encoder import forward_batch
 
         vocab, enc, params, head = self.setup_model("mrc")
-        seqs = [
-            encode_pair("alpha?", "loss alpha beta", vocab, enc.max_len),
-            encode_pair("beta?", "gain one two", vocab, enc.max_len),
+        # Answers "loss alpha" and "gain one": context tokens 4 and 5.
+        examples = [
+            MrcExample("0", "alpha?", "loss alpha beta", (0, 10)),
+            MrcExample("1", "beta?", "gain one two", (0, 8)),
         ]
-        ids, mask = _stack(seqs)
-        valid = np.array(
-            [
-                [seg == 1 and off is not None for seg, off in zip(s.segment_ids, s.offsets)]
-                for s in seqs
-            ]
-        )
-        gold_s = np.array([4, 4])
-        gold_e = np.array([5, 5])
-        loss, _, _ = _mrc_step(
-            params, head, enc, ids, mask, valid, gold_s, gold_e, False, None
-        )
-        hidden = forward_batch(params, enc, ids, mask)
+        batch = SpanTask().encode(examples, vocab, enc.max_len)
+        valid = batch.valid
+        gold_s, gold_e = batch.gold[:, 0], batch.gold[:, 1]
+        assert list(gold_s) == [4, 4] and list(gold_e) == [5, 5]
+        hidden = forward_batch(params, enc, batch.ids, batch.mask)
+        loss, _, _ = SpanTask().loss_and_grad(head, hidden, batch)
         expected = np.mean(
             [
                 span_loss(
