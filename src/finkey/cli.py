@@ -196,11 +196,20 @@ def _task_dataset(cfg: dict, task: str):
     return labeled
 
 
+def _document_folds(dataset, k: int, seed: int, setting: str):
+    """document_folds; a fold count the corpus cannot fill is a
+    configuration error naming ``setting``."""
+    try:
+        return document_folds(dataset, k, seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad {setting}: {exc}") from None
+
+
 def _holdout_split(dataset, cfg: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
     k = cfg.get(task, {}).get("dev_split_k", 10)
-    split = document_folds(dataset, k, seed)
+    split = _document_folds(dataset, k, seed, f"{task}.dev_split_k")
     dev_idx = set(split.folds[0])
     train_set = [dataset[i] for i in range(len(dataset)) if i not in dev_idx]
     dev_set = [dataset[i] for i in split.folds[0]]
@@ -295,6 +304,7 @@ def cmd_crossval(args) -> int:
     cfg = _require_config(_load_config(args.config))
     tc = _train_config(cfg, args.task, args.seed)
     dataset = _task_dataset(cfg, args.task)
+    _document_folds(dataset, args.k, tc.seed, "--k")
     _, max_span_len = _mrc_settings(cfg)
     result = cross_validate(
         dataset, tc, args.k, encoder=_encoder_config(cfg),
@@ -530,6 +540,7 @@ def cmd_search(args) -> int:
     tc = _train_config(cfg, args.task, args.seed)
     deltas = cfg.get("search", {}).get("deltas", {})
     dataset = _task_dataset(cfg, args.task)
+    _document_folds(dataset, args.k, tc.seed, "--k")
     _, max_span_len = _mrc_settings(cfg)
     try:
         result = neighborhood_search(

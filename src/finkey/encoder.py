@@ -11,10 +11,13 @@ switched to float64 for finite-difference gradient verification.  Inference
 (training=False) is a pure function of (params, sequence); dropout only
 fires in training mode and draws from an explicit Generator.
 
-``forward_batch``/``backward_batch`` operate on (batch, seq) id/mask arrays
-and are what the training loops use; ``forward``/``backward`` wrap them for
-a single TokenSequence.  ``forward_inference`` is the inference entry point:
-it runs ``forward_batch`` over each row's real prefix only, grouping rows of
+``forward_batch``/``backward_batch`` operate on (batch, T) id/mask arrays
+for any T up to max_len; ``forward``/``backward`` wrap them for a single
+TokenSequence at full length.  A training step cuts its batch to
+``inference_length`` (the last real position of any row, rounded up to 8)
+and runs them there; weight gradients are one BLAS matrix product each
+(``weight_grad``).  ``forward_inference`` is the inference entry point: it
+runs ``forward_batch`` over each row's real prefix only, grouping rows of
 equal length.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
@@ -34,7 +37,7 @@ from scipy.special import erf
 from .tokenizer import TokenSequence
 
 _LN_EPS = 1e-5
-_LENGTH_MULTIPLE = 8  # inference cuts batches to a multiple of this
+_LENGTH_MULTIPLE = 8  # inference and training cut batches to a multiple of this
 _INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -233,9 +236,16 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / dtype(1.0 - rate)
+def _dropout_mask(config: EncoderConfig, batch: int, t: int, rng: np.random.Generator):
+    """Inverted-dropout mask for the first ``t`` positions of a batch.
+
+    It is drawn at (batch, max_len, d_model) and then cut to ``t``, so the
+    generator advances the same and every position gets the same mask
+    whatever ``t`` a batch is cut to.
+    """
+    dt = config.np_dtype
+    keep = rng.random((batch, config.max_len, config.d_model))[:, :t] >= config.dropout_rate
+    return keep.astype(dt) / dt(1.0 - config.dropout_rate)
 
 
 def forward_batch(
@@ -250,8 +260,9 @@ def forward_batch(
 ) -> np.ndarray:
     """Run the encoder over (batch, T) id/mask arrays, 1 <= T <= max_len.
 
-    Position t gets row t of the position table, so cutting padding off the
-    end of a batch leaves its real positions' inputs unchanged.
+    Position t gets row t of the position table and, in training, the same
+    dropout masks at any T, so cutting padding off the end of a batch
+    leaves its real positions' inputs unchanged.
     Returns the final hidden states, shape (batch, T, d_model).  When
     ``cache`` is a dict, the intermediates needed by backward_batch (and the
     per-layer attention probabilities) are recorded into it.
@@ -294,7 +305,7 @@ def forward_batch(
         attn = ctx @ lp.wo + lp.bo
         drop1 = None
         if use_dropout:
-            drop1 = _dropout_mask(attn.shape, config.dropout_rate, rng, dt)
+            drop1 = _dropout_mask(config, *ids.shape, rng)
             attn = attn * drop1
         h1, ln1_aux = _layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
         ff_pre = h1 @ lp.w1 + lp.b1
@@ -302,7 +313,7 @@ def forward_batch(
         ff = act @ lp.w2 + lp.b2
         drop2 = None
         if use_dropout:
-            drop2 = _dropout_mask(ff.shape, config.dropout_rate, rng, dt)
+            drop2 = _dropout_mask(config, *ids.shape, rng)
             ff = ff * drop2
         h2, ln2_aux = _layer_norm(h1 + ff, lp.ln2_g, lp.ln2_b)
         if cache is not None:
@@ -318,6 +329,12 @@ def forward_batch(
     if cache is not None:
         cache["hidden"] = x
     return x
+
+
+def weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of a weight applied as ``x @ w``: the sum over all leading
+    axes of x^T dy, shape (d_in, d_out), as one BLAS matrix product."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
 def backward_batch(
@@ -346,11 +363,11 @@ def backward_batch(
         d_h1 = d_sum2.copy()
         d_ff = d_sum2 if c["drop2"] is None else d_sum2 * c["drop2"]
 
-        gl.w2 += np.einsum("btf,btd->fd", c["act"], d_ff)
+        gl.w2 += weight_grad(c["act"], d_ff)
         gl.b2 += d_ff.sum(axis=(0, 1))
         d_act = d_ff @ lp.w2.T
         d_ff_pre = d_act * gelu_grad(c["ff_pre"], c["cdf"])
-        gl.w1 += np.einsum("btd,btf->df", c["h1"], d_ff_pre)
+        gl.w1 += weight_grad(c["h1"], d_ff_pre)
         gl.b1 += d_ff_pre.sum(axis=(0, 1))
         d_h1 += d_ff_pre @ lp.w1.T
 
@@ -360,7 +377,7 @@ def backward_batch(
         dx_layer = d_sum1.copy()
         d_attn = d_sum1 if c["drop1"] is None else d_sum1 * c["drop1"]
 
-        gl.wo += np.einsum("btd,bte->de", c["ctx"], d_attn)
+        gl.wo += weight_grad(c["ctx"], d_attn)
         gl.bo += d_attn.sum(axis=(0, 1))
         d_ctx = _split_heads(d_attn @ lp.wo.T, config.n_heads)
 
@@ -375,11 +392,11 @@ def backward_batch(
         d_q = _merge_heads(d_qh)
         d_k = _merge_heads(d_kh)
         d_v = _merge_heads(d_vh)
-        gl.wq += np.einsum("btd,bte->de", x_in, d_q)
+        gl.wq += weight_grad(x_in, d_q)
         gl.bq += d_q.sum(axis=(0, 1))
-        gl.wk += np.einsum("btd,bte->de", x_in, d_k)
+        gl.wk += weight_grad(x_in, d_k)
         gl.bk += d_k.sum(axis=(0, 1))
-        gl.wv += np.einsum("btd,bte->de", x_in, d_v)
+        gl.wv += weight_grad(x_in, d_v)
         gl.bv += d_v.sum(axis=(0, 1))
         dx_layer += d_q @ lp.wq.T + d_k @ lp.wk.T + d_v @ lp.wv.T
         dx = dx_layer
@@ -401,7 +418,8 @@ def _row_lengths(attn_mask: np.ndarray, max_len: int) -> np.ndarray:
 
 
 def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
-    """Positions an inference forward over ``attn_mask`` has to cover.
+    """Positions a forward over ``attn_mask`` has to cover: the length an
+    inference forward and a training step cut a batch to.
 
     The last real position of any row, rounded up to a multiple of 8 and
     capped at ``max_len``.  The rounding keeps the trimmed forward
@@ -412,7 +430,11 @@ def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
     float32 hidden states by up to about 1e-6.  With OpenBLAS on x86-64, a
     rounded cut still differed in rare d_head-8 cases, by under 1e-6; at
     d_head 12 no difference was found.  Other BLAS builds may block the
-    contraction differently.
+    contraction differently.  The backward pass is not bit-identical under
+    the cut: a weight gradient sums over every (row, position) of the
+    batch, and without the zero terms of the padding BLAS groups that sum
+    differently, so training gradients move in the last bits (README,
+    encoder section); in exact arithmetic they are the same.
     """
     floor = min(max_len, _LENGTH_MULTIPLE)
     return int(_row_lengths(attn_mask, max_len).max(initial=floor))

@@ -24,7 +24,13 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Document, MrcExample, PairExample, SentimentLabel
-from .encoder import EncoderConfig, EncoderParams, forward_inference, inference_length
+from .encoder import (
+    EncoderConfig,
+    EncoderParams,
+    forward_inference,
+    inference_length,
+    weight_grad,
+)
 from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single
 
 DEFAULT_TEMPLATE = "Which company involves {tag}?"
@@ -610,7 +616,7 @@ class SpanTask(Task):
             d_scores[rows, gold] -= 1.0
             d_scores *= 0.5 / n
             d_scores = d_scores.astype(hidden.dtype)
-            head_grads[w_name] = np.einsum("btd,bt->d", hidden, d_scores)
+            head_grads[w_name] = weight_grad(hidden, d_scores[..., None])[:, 0]
             head_grads[b_name] = np.array([d_scores.sum()], dtype=hidden.dtype)
             d_hidden += d_scores[:, :, None] * scores_w[None, None, :]
         return loss, head_grads, d_hidden

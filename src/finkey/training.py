@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -29,6 +30,7 @@ from .encoder import (
     LayerParams,
     backward_batch,
     forward_batch,
+    inference_length,
     init_params,
 )
 from .tasks import (
@@ -134,6 +136,8 @@ def document_folds(dataset, k: int, seed: int) -> FoldSplit:
         doc_id = item.id if isinstance(item, Document) else item.doc_id
         positions.setdefault(doc_id, []).append(pos)
     docs = list(positions.values())
+    if not 2 <= k <= len(docs):
+        raise ValueError(f"need 2 <= k <= {len(docs)} (the number of documents), got k={k}")
     split = kfold_split(len(docs), k, seed)
     return FoldSplit(tuple(tuple(p for i in fold for p in docs[i]) for fold in split.folds))
 
@@ -231,7 +235,12 @@ def _flat(encoder: EncoderParams, head_named) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Serialize to the versioned binary layout (see README); bit-exact."""
+    """Serialize to the versioned binary layout (see README); bit-exact.
+
+    The file is written next to ``path`` under a temporary name and moved
+    into place when complete, so a failed write leaves any checkpoint
+    already at ``path`` as it was.
+    """
     tensors = _flat(ckpt.encoder_params, ckpt.head.named()).items()
     index = []
     offset = 0
@@ -259,12 +268,21 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "tensors": index,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    with Path(path).open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr).tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _build_encoder_params(config: EncoderConfig, tensors: dict[str, np.ndarray]) -> EncoderParams:
@@ -347,8 +365,22 @@ def _encode_labeled(task: Task, examples, vocab: Vocab, max_len: int) -> Encoded
 
 
 def _train_step(task: Task, params, enc_cfg, head, batch: Encoded, rng):
-    """Loss and flat gradients of one training batch.  The activation cache
-    is freed on return, before the next batch or the dev evaluation."""
+    """Loss and flat gradients of one training batch.
+
+    The batch is cut to ``inference_length`` positions (its last real
+    position, rounded up to 8) before the forward.  Padded keys are masked
+    and no loss reaches a padded position, so the cut changes no gradient
+    in exact arithmetic, and dropout draws its masks at ``max_len``, so the
+    generator advances as at full length.  The activation cache is freed on
+    return, before the next batch or the dev evaluation.
+    """
+    t = inference_length(batch.mask, enc_cfg.max_len)
+    batch = replace(
+        batch,
+        ids=batch.ids[:, :t],
+        mask=batch.mask[:, :t],
+        valid=None if batch.valid is None else batch.valid[:, :t],
+    )
     cache: dict = {}
     hidden = forward_batch(
         params, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache

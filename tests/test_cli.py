@@ -122,6 +122,11 @@ BAD_INPUTS = {
     "non_checkpoint_file": (2, "not a checkpoint file"),
     "malformed_predictions": (1, "not valid JSON"),
     "no_usable_mrc_examples": (1, "no usable mrc examples"),
+    "crossval_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
+    "crossval_k_below_two": (2, "bad --k: need 2 <= k <= 40"),
+    "search_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
+    "train_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
+    "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
 }
 
 
@@ -145,6 +150,14 @@ def bad_input_argv(tmp_path, case):
         })
         return ["pipeline", "--config", str(path), "--input", corpus,
                 "--output", str(tmp_path / "out.jsonl")]
+    if case.startswith(("crossval", "search")):
+        path, _ = write_config(tmp_path)
+        k = "1" if case.endswith("below_two") else "41"
+        return [case.split("_")[0], "--task", "sentiment", "--k", k, "--config", str(path)]
+    if case.endswith("dev_split_k_above_documents"):
+        _, cfg = write_config(tmp_path)
+        path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], "dev_split_k": 41})
+        return [case.split("_")[0], "--task", "sentiment", "--config", str(path)]
     if case == "malformed_predictions":
         (tmp_path / "preds.jsonl").write_text('{"id": "a"\n', encoding="utf-8")
         return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"), "--gold", corpus,

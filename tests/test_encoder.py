@@ -18,6 +18,7 @@ from finkey.encoder import (
     inference_length,
     init_params,
     sinusoidal_positions,
+    weight_grad,
 )
 from finkey.tokenizer import encode_pair, encode_single, vocab_from_texts
 
@@ -289,6 +290,32 @@ class TestBackward:
         g_tok = backward(params, cfg, cache, d_token_vecs=d_tok)
         for (_, a), (_, b) in zip(g_vec.named(), g_tok.named()):
             np.testing.assert_allclose(a, b, atol=0)
+
+    def test_weight_grad_equals_einsum(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 7, 8))
+        dy = rng.normal(size=(3, 7, 5))
+        np.testing.assert_allclose(
+            weight_grad(x, dy), np.einsum("btd,bte->de", x, dy), rtol=1e-12
+        )
+        scores = rng.normal(size=(3, 7))  # the span head's per-token form
+        np.testing.assert_allclose(
+            weight_grad(x, scores[..., None])[:, 0],
+            np.einsum("btd,bt->d", x, scores),
+            rtol=1e-12,
+        )
+
+    def test_dropout_masks_independent_of_length(self, vocab):
+        cfg = tiny_config(vocab, dropout_rate=0.3)
+        params = init_params(cfg, 2)
+        seq = encode_single("alpha beta one", vocab, cfg.max_len)
+        ids = np.asarray(seq.ids)[None, :]
+        mask = np.asarray(seq.attention_mask)[None, :]
+        rng_full, rng_cut = np.random.default_rng(6), np.random.default_rng(6)
+        full = forward_batch(params, cfg, ids, mask, training=True, rng=rng_full)
+        cut = forward_batch(params, cfg, ids[:, :8], mask[:, :8], training=True, rng=rng_cut)
+        np.testing.assert_allclose(cut[0, :5], full[0, :5], rtol=1e-12)
+        assert rng_cut.bit_generator.state == rng_full.bit_generator.state
 
 
 class TestGelu:

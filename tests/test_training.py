@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkey.corpus import Document, SentimentLabel, clean_text
-from finkey.encoder import EncoderConfig
-from finkey.tasks import FocalConfig
+from finkey.corpus import Document, MrcExample, PairExample, SentimentLabel, clean_text
+from finkey.encoder import EncoderConfig, backward_batch, forward_batch
+from finkey.tasks import TASKS, FocalConfig, init_head
+from finkey.tokenizer import vocab_from_texts
 from finkey.training import (
     Adam,
     Checkpoint,
@@ -21,6 +22,7 @@ from finkey.training import (
     save_checkpoint,
     train,
 )
+from finkey.training import _flat, _train_step
 
 
 def make_doc(i, text, negative):
@@ -320,6 +322,68 @@ class TestBatchStepsMatchPerExampleLosses:
         assert loss == pytest.approx(expected, rel=1e-9)
 
 
+class TestTrimmedTrainingStep:
+    """A training step cuts its batch to the real length; at float64 this
+    gives the full-length step's loss, gradients and generator state."""
+
+    WORDS = ["alpha", "beta", "gamma", "loss", "gain", "one", "two"]
+
+    def batch_items(self, task, texts):
+        items = []
+        for i, words in enumerate(texts):
+            text = " ".join(words)
+            if task == "sentiment":
+                label = SentimentLabel.NEGATIVE if i % 2 else SentimentLabel.POSITIVE
+                items.append(Document(str(i), text, text, sentiment=label))
+            elif task == "match":
+                items.append(PairExample(str(i), self.WORDS[i % 7], text, i % 2))
+            else:
+                items.append(MrcExample(str(i), self.WORDS[i % 7] + "?", text, (0, len(words[0]))))
+        return items
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        task_name=st.sampled_from(["sentiment", "match", "mrc"]),
+        dropout=st.sampled_from([0.0, 0.1]),
+        texts=st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=14), min_size=1, max_size=5
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trimmed_step_equals_padded(self, task_name, dropout, texts, seed):
+        vocab = vocab_from_texts([" ".join(self.WORDS)])
+        enc = EncoderConfig(
+            vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+            max_len=20, dropout_rate=dropout, dtype="float64",
+        )
+        task = TASKS[task_name]()
+        params = init_params(enc, seed)
+        head = init_head(task.head_kind, enc.d_model, np.random.default_rng(seed), np.float64)
+        batch = task.encode(self.batch_items(task_name, texts), vocab, enc.max_len)
+        if not batch.n:
+            return
+        rng_padded, rng_trimmed = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        cache: dict = {}
+        hidden = forward_batch(
+            params, enc, batch.ids, batch.mask, training=True, rng=rng_padded, cache=cache
+        )
+        loss, head_grads, d_hidden = task.loss_and_grad(head, hidden, batch)
+        padded = _flat(backward_batch(params, enc, cache, d_hidden), head_grads.items())
+        trimmed_loss, trimmed = _train_step(task, params, enc, head, batch, rng_trimmed)
+
+        assert trimmed_loss == pytest.approx(loss, rel=1e-10)
+        assert trimmed.keys() == padded.keys()
+        for name in padded:
+            # The key-bias gradients are zero in exact arithmetic (softmax
+            # ignores a shift shared by all keys), so at float64 they are
+            # rounding noise of about 1e-17; atol covers only that.
+            np.testing.assert_allclose(
+                trimmed[name], padded[name], rtol=1e-10, atol=1e-14, err_msg=name
+            )
+        assert rng_trimmed.bit_generator.state == rng_padded.bit_generator.state
+
+
 class TestCheckpointSerialization:
     def test_round_trip_bit_exact(self, sentiment_sets, tmp_path):
         train_set, dev_set = sentiment_sets
@@ -355,6 +419,31 @@ class TestCheckpointSerialization:
         save_checkpoint(result.checkpoint, p1)
         save_checkpoint(result.checkpoint, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_existing_checkpoint(self, sentiment_sets, tmp_path, monkeypatch):
+        train_set, dev_set = sentiment_sets
+        first = train(train_set, dev_set, small_cfg(epochs=1), encoder=SMALL_ENC).checkpoint
+        second = train(train_set, dev_set, small_cfg(epochs=2), encoder=SMALL_ENC).checkpoint
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(first, path)
+        before = path.read_bytes()
+
+        contiguous = np.ascontiguousarray
+        written = []
+
+        def fail_after_first_tensor(arr):
+            if written:
+                raise OSError("disk full")
+            written.append(arr)
+            return contiguous(arr)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_after_first_tensor)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(second, path)
+        monkeypatch.undo()
+        assert written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
