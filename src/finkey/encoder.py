@@ -11,14 +11,14 @@ switched to float64 for finite-difference gradient verification.  Inference
 (training=False) is a pure function of (params, sequence); dropout only
 fires in training mode and draws from an explicit Generator.
 
-``forward_batch``/``backward_batch`` operate on (batch, T) id/mask arrays
-for any T up to max_len; ``forward``/``backward`` wrap them for a single
-TokenSequence at full length.  A training step cuts its batch to
-``inference_length`` (the last real position of any row, rounded up to 8)
-and runs them there; weight gradients are one BLAS matrix product each
-(``weight_grad``).  ``forward_inference`` is the inference entry point: it
-runs ``forward_batch`` over each row's real prefix only, grouping rows of
-equal length.
+``init_params`` lays the tensors out as views into one contiguous buffer,
+in ``param_shapes`` order.  ``forward_batch``/``backward_batch`` operate on
+(batch, T) id/mask arrays for any T up to max_len; a training step cuts its
+batch to ``inference_length`` (the last real position of any row, rounded
+up to 8) and runs them there, and weight gradients are one BLAS matrix
+product each (``weight_grad``).  ``forward_inference`` is the inference
+entry point: it runs ``forward_batch`` over each row's real prefix only,
+grouping rows of equal length.  ``forward`` encodes one TokenSequence.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -104,6 +104,13 @@ class EncoderParams:
     embedding: np.ndarray
     layers: list[LayerParams] = field(default_factory=list)
 
+    @classmethod
+    def from_tensors(cls, tensors: Sequence[np.ndarray]) -> "EncoderParams":
+        """Tensors in ``named`` order, such as views of a flat buffer."""
+        n = len(LayerParams.__dataclass_fields__)
+        layers = [LayerParams(*tensors[i : i + n]) for i in range(1, len(tensors), n)]
+        return cls(tensors[0], layers)
+
     def named(self) -> Iterator[tuple[str, np.ndarray]]:
         """Deterministically ordered (name, array) pairs over all tensors."""
         yield "embedding", self.embedding
@@ -111,23 +118,34 @@ class EncoderParams:
             for name in lp.__dataclass_fields__:
                 yield f"layers.{i}.{name}", getattr(lp, name)
 
-    def _map(self, fn) -> "EncoderParams":
-        return EncoderParams(
-            embedding=fn(self.embedding),
-            layers=[
-                LayerParams(**{k: fn(getattr(lp, k)) for k in lp.__dataclass_fields__})
-                for lp in self.layers
-            ],
-        )
 
-    def copy(self) -> "EncoderParams":
-        return self._map(np.copy)
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every encoder tensor, in ``named`` order."""
+    d, f = config.d_model, config.d_ff
+    ffn = {"w1": (d, f), "b1": (f,), "w2": (f, d)}
+    shapes = {"embedding": (config.vocab_size, d)}
+    for i in range(config.n_layers):
+        for name in LayerParams.__dataclass_fields__:
+            shapes[f"layers.{i}.{name}"] = ffn.get(name, (d, d) if name[0] == "w" else (d,))
+    return shapes
 
-    def zeros_like(self) -> "EncoderParams":
-        return self._map(np.zeros_like)
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(arr).all() for _, arr in self.named())
+def split_flat(flat: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of a 1-D buffer, one per shape; they must fill it."""
+    views, pos = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[pos : pos + n].reshape(shape))
+        pos += n
+    if pos != flat.size:
+        raise ValueError(f"buffer holds {flat.size} values, the shapes need {pos}")
+    return views
+
+
+def _zero_params(config: EncoderConfig) -> EncoderParams:
+    shapes = param_shapes(config).values()
+    flat = np.zeros(sum(math.prod(s) for s in shapes), config.np_dtype)
+    return EncoderParams.from_tensors(split_flat(flat, shapes))
 
 
 @dataclass(frozen=True)
@@ -144,30 +162,19 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.nd
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
-    """Seed-deterministic initialization.
+    """Seed-deterministic initialization, as views of one zeroed buffer.
 
-    Weight matrices are uniform in +-sqrt(6 / (fan_in + fan_out)); biases
-    start at zero, layer-norm scales at one.
+    Weight matrices are uniform in +-sqrt(6 / (fan_in + fan_out)), drawn in
+    ``named`` order; biases stay at zero, layer-norm scales are set to one.
     """
     rng = np.random.default_rng(seed)
-    dt = config.np_dtype
-    d, f = config.d_model, config.d_ff
-    embedding = _xavier(rng, config.vocab_size, d, dt)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerParams(
-                wq=_xavier(rng, d, d, dt), bq=np.zeros(d, dt),
-                wk=_xavier(rng, d, d, dt), bk=np.zeros(d, dt),
-                wv=_xavier(rng, d, d, dt), bv=np.zeros(d, dt),
-                wo=_xavier(rng, d, d, dt), bo=np.zeros(d, dt),
-                w1=_xavier(rng, d, f, dt), b1=np.zeros(f, dt),
-                w2=_xavier(rng, f, d, dt), b2=np.zeros(d, dt),
-                ln1_g=np.ones(d, dt), ln1_b=np.zeros(d, dt),
-                ln2_g=np.ones(d, dt), ln2_b=np.zeros(d, dt),
-            )
-        )
-    return EncoderParams(embedding=embedding, layers=layers)
+    params = _zero_params(config)
+    for name, arr in params.named():
+        if arr.ndim == 2:
+            arr[...] = _xavier(rng, *arr.shape, config.np_dtype)
+        elif name.endswith("_g"):
+            arr[...] = 1.0
+    return params
 
 
 @lru_cache(maxsize=8)
@@ -342,13 +349,16 @@ def backward_batch(
     config: EncoderConfig,
     cache: dict,
     d_hidden: np.ndarray,
+    grads: Optional[EncoderParams] = None,
 ) -> EncoderParams:
     """Exact reverse-mode gradients for a recorded forward_batch pass.
 
-    ``d_hidden`` is the upstream gradient on the final hidden states; the
-    return value mirrors the EncoderParams structure.
+    ``d_hidden`` is the upstream gradient on the final hidden states.  The
+    gradients are added into ``grads`` (zeros when not given), which is
+    returned.
     """
-    grads = params.zeros_like()
+    if grads is None:
+        grads = _zero_params(config)
     scale = 1.0 / math.sqrt(config.d_head)
     dx = np.asarray(d_hidden, dtype=config.np_dtype)
 
@@ -423,18 +433,10 @@ def inference_length(attn_mask: np.ndarray, max_len: int) -> int:
 
     The last real position of any row, rounded up to a multiple of 8 and
     capped at ``max_len``.  The rounding keeps the trimmed forward
-    bit-identical to the full-length one as long as the sums over keys
-    (numpy's softmax normaliser, the BLAS ``probs @ vh`` contraction) add
-    their terms in blocks of 8, so that padded keys only add exact zeros to
-    whole blocks.  A cut at the exact length regroups the terms and moves
-    float32 hidden states by up to about 1e-6.  With OpenBLAS on x86-64, a
-    rounded cut still differed in rare d_head-8 cases, by under 1e-6; at
-    d_head 12 no difference was found.  Other BLAS builds may block the
-    contraction differently.  The backward pass is not bit-identical under
-    the cut: a weight gradient sums over every (row, position) of the
-    batch, and without the zero terms of the padding BLAS groups that sum
-    differently, so training gradients move in the last bits (README,
-    encoder section); in exact arithmetic they are the same.
+    bit-identical to the full-length one while the sums over keys (numpy's
+    softmax normaliser, the BLAS ``probs @ vh`` contraction) add their
+    terms in blocks of 8; the trimmed backward regroups the weight-gradient
+    sums and moves in the last bits (README, encoder section).
     """
     floor = min(max_len, _LENGTH_MULTIPLE)
     return int(_row_lengths(attn_mask, max_len).max(initial=floor))
@@ -470,12 +472,6 @@ def forward_inference(
     return hidden
 
 
-def _seq_arrays(seq: TokenSequence):
-    ids = np.asarray(seq.ids, dtype=np.int64)[None, :]
-    mask = np.asarray(seq.attention_mask, dtype=np.int64)[None, :]
-    return ids, mask
-
-
 def forward(
     params: EncoderParams,
     config: EncoderConfig,
@@ -485,45 +481,10 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> PooledOutput:
     """Encode one TokenSequence; the sentence vector is the [CLS] row."""
-    ids, mask = _seq_arrays(seq)
+    ids = np.asarray(seq.ids, dtype=np.int64)[None, :]
+    mask = np.asarray(seq.attention_mask, dtype=np.int64)[None, :]
     hidden = forward_batch(params, config, ids, mask, training=training, rng=rng)
     return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0])
-
-
-def forward_cached(
-    params: EncoderParams,
-    config: EncoderConfig,
-    seq: TokenSequence,
-    *,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[PooledOutput, dict]:
-    """Like forward, but also returns the activation cache for backward()."""
-    cache: dict = {}
-    hidden = forward_batch(
-        params, config, *_seq_arrays(seq), training=training, rng=rng, cache=cache
-    )
-    return PooledOutput(sentence_vec=hidden[0, 0], token_vecs=hidden[0]), cache
-
-
-def backward(
-    params: EncoderParams,
-    config: EncoderConfig,
-    cache: dict,
-    d_token_vecs: Optional[np.ndarray] = None,
-    d_sentence_vec: Optional[np.ndarray] = None,
-) -> EncoderParams:
-    """Parameter gradients for a single recorded sequence.
-
-    The upstream gradient may target the per-token vectors, the sentence
-    vector (added at the [CLS] row), or both.
-    """
-    d_hidden = np.zeros((1, config.max_len, config.d_model), dtype=config.np_dtype)
-    if d_token_vecs is not None:
-        d_hidden[0] += d_token_vecs
-    if d_sentence_vec is not None:
-        d_hidden[0, 0] += d_sentence_vec
-    return backward_batch(params, config, cache, d_hidden)
 
 
 def bow_encode(seq: TokenSequence, vocab_size: int) -> np.ndarray:

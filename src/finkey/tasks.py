@@ -49,6 +49,11 @@ class _Head:
         for name in self.__dataclass_fields__:
             yield name, getattr(self, name)
 
+    @classmethod
+    def shapes(cls, d_model: int) -> dict[str, tuple[int, ...]]:
+        w = (d_model, cls.n_out) if cls.n_out > 1 else (d_model,)
+        return {name: w if name[0] == "w" else (cls.n_out,) for name in cls.__dataclass_fields__}
+
 
 @dataclass
 class SentimentHead(_Head):
@@ -73,24 +78,16 @@ class SpanHead(_Head):
     b_end: np.ndarray  # (1,)
 
 
-def _head_vec(rng: np.random.Generator, d_model: int, n_out: int, dtype) -> np.ndarray:
-    bound = np.sqrt(6.0 / (d_model + n_out))
-    out = rng.uniform(-bound, bound, size=(d_model, n_out)).astype(dtype)
-    return out if n_out > 1 else out[:, 0]
-
-
 def init_head(kind: str, d_model: int, rng: np.random.Generator, dtype=np.float32):
-    """A new head of a head kind: uniform weights, drawn in field order, and
-    zero biases."""
+    """A new head of a head kind: weights uniform in
+    +-sqrt(6 / (d_model + n_out)), drawn in field order, and zero biases."""
     cls = task_for_head(kind).head_cls
-    return cls(
-        **{
-            name: _head_vec(rng, d_model, cls.n_out, dtype)
-            if name.startswith("w")
-            else np.zeros(cls.n_out, dtype)
-            for name in cls.__dataclass_fields__
-        }
-    )
+    bound = np.sqrt(6.0 / (d_model + cls.n_out))
+    return cls(*(
+        rng.uniform(-bound, bound, size=(d_model, cls.n_out)).astype(dtype).reshape(shape)
+        if name[0] == "w" else np.zeros(shape, dtype)
+        for name, shape in cls.shapes(d_model).items()
+    ))
 
 
 @dataclass(frozen=True)

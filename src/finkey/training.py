@@ -12,14 +12,14 @@ extraction.  The returned checkpoint holds the best-epoch parameters.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +27,12 @@ from .corpus import CorpusError, Document
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    LayerParams,
     backward_batch,
     forward_batch,
     inference_length,
     init_params,
+    param_shapes,
+    split_flat,
 )
 from .tasks import (
     TASKS,
@@ -88,6 +89,10 @@ class TrainConfig:
             raise ValueError("max_len must be >= 4")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be > 0")
 
     def focal_config(self) -> FocalConfig:
         """Effective binary-loss settings for the match task."""
@@ -143,7 +148,7 @@ def document_folds(dataset, k: int, seed: int) -> FoldSplit:
 
 
 class Adam:
-    """Adam over a flat name->array mapping, updating arrays in place."""
+    """Adam over one flat parameter buffer, updated in place."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -151,35 +156,64 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None  # one buffer each, shaped like the parameters
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g = grads[name].astype(p.dtype, copy=False)
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        g = grads.astype(params.dtype, copy=False)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        params -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+def clip_by_global_norm(grads: np.ndarray, max_norm: float, parts: Sequence[np.ndarray]) -> float:
+    """Scale a gradient buffer in place so its global L2 norm is <= max_norm;
+    returns the norm before clipping.  The squares are summed in float64
+    view by view over ``parts``, views that tile ``grads`` (one per tensor):
+    that grouping fixes the norm's last bits."""
     total = 0.0
-    for g in grads.values():
+    for g in parts:
         total += float(np.sum(np.square(g, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / norm
     return norm
+
+
+def model_shapes(config: EncoderConfig, head_kind: str) -> dict[str, tuple[int, ...]]:
+    """Checkpoint name -> shape of every tensor of a model, in the v1
+    checkpoint's order: the encoder's tensors, then the head's."""
+    shapes = {f"encoder.{n}": s for n, s in param_shapes(config).items()}
+    head_cls = task_for_head(head_kind).head_cls
+    shapes.update({f"head.{n}": s for n, s in head_cls.shapes(config.d_model).items()})
+    return shapes
+
+
+class ParamStore:
+    """A model's tensors as views into one contiguous buffer ``flat``, laid
+    out in ``model_shapes`` order.  ``encoder`` and ``head`` are the named
+    views the layer and head math reads; ``tensors`` lists every view."""
+
+    def __init__(self, flat: np.ndarray, config: EncoderConfig, head_kind: str):
+        head_cls = task_for_head(head_kind).head_cls
+        self.flat = flat
+        self.tensors = split_flat(flat, model_shapes(config, head_kind).values())
+        n_head = len(head_cls.__dataclass_fields__)
+        self.encoder = EncoderParams.from_tensors(self.tensors[:-n_head])
+        self.head = head_cls(*self.tensors[-n_head:])
+
+    @classmethod
+    def of(cls, config: EncoderConfig, encoder: EncoderParams, head, head_kind: str):
+        """A store holding copies of separately built tensors."""
+        flat = np.concatenate([a.ravel() for _, a in _named(encoder, head)])
+        return cls(flat, config, head_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +236,43 @@ class Checkpoint:
     dev_score: float
     seed: int
 
-    def _expect(self, kind: str) -> None:
+    def _model(self, kind: str):
+        """(encoder params, encoder config, vocab, head) of a ``kind`` checkpoint."""
         if self.head_kind != kind:
             raise ValueError(f"not a {kind} checkpoint")
+        return self.encoder_params, self.encoder_config, self.vocab, self.head
 
     def predict(self, task: Task, data: Encoded) -> list:
         """The task's predictions for inputs encoded with this vocabulary."""
-        self._expect(task.head_kind)
-        return task.run(self.encoder_params, self.encoder_config, self.head, data)
+        params, config, _, head = self._model(task.head_kind)
+        return task.run(params, config, head, data)
 
     def predict_sentiment(self, text: str) -> SentimentPrediction:
-        self._expect("sentiment")
-        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
-        return predict_sentiment(params, config, vocab, head, text)
+        return predict_sentiment(*self._model("sentiment"), text)
 
     def score_entity(self, entity: str, text: str) -> float:
-        self._expect("match")
-        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
-        return score_entity(params, config, vocab, head, entity, text)
+        return score_entity(*self._model("match"), entity, text)
 
     def extract_span(self, question: str, context: str, max_span_len: int = 16) -> SpanPrediction:
-        self._expect("span")
-        params, config, vocab, head = self.encoder_params, self.encoder_config, self.vocab, self.head
-        return extract_span(params, config, vocab, head, question, context, max_span_len)
+        return extract_span(*self._model("span"), question, context, max_span_len)
 
 
-def _flat(encoder: EncoderParams, head_named) -> dict[str, np.ndarray]:
+def _named(encoder: EncoderParams, head) -> list[tuple[str, np.ndarray]]:
     """Encoder and head tensors under their checkpoint names, in order."""
-    out = {f"encoder.{n}": a for n, a in encoder.named()}
-    out.update({f"head.{n}": a for n, a in head_named})
-    return out
+    named = [(f"encoder.{n}", a) for n, a in encoder.named()]
+    return named + [(f"head.{n}", a) for n, a in head.named()]
+
+
+def _tensor_index(tensors) -> list[dict]:
+    """The header's tensor index of (name, dtype, shape) triples stored back to back."""
+    index, offset = [], 0
+    for name, dtype, shape in tensors:
+        nbytes = math.prod(shape) * dtype.itemsize
+        index.append(
+            dict(name=name, dtype=dtype.name, shape=list(shape), offset=offset, nbytes=nbytes)
+        )
+        offset += nbytes
+    return index
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -241,21 +282,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     into place when complete, so a failed write leaves any checkpoint
     already at ``path`` as it was.
     """
-    tensors = _flat(ckpt.encoder_params, ckpt.head.named()).items()
-    index = []
-    offset = 0
-    for name, arr in tensors:
-        nbytes = arr.size * arr.dtype.itemsize
-        index.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.name,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": nbytes,
-            }
-        )
-        offset += nbytes
+    tensors = _named(ckpt.encoder_params, ckpt.head)
+    index = _tensor_index((name, arr.dtype, arr.shape) for name, arr in tensors)
     header = {
         "format": "finkey-checkpoint",
         "version": 1,
@@ -285,48 +313,55 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         raise
 
 
-def _build_encoder_params(config: EncoderConfig, tensors: dict[str, np.ndarray]) -> EncoderParams:
-    layers = []
-    for i in range(config.n_layers):
-        kwargs = {
-            name: tensors[f"encoder.layers.{i}.{name}"]
-            for name in LayerParams.__dataclass_fields__
-        }
-        layers.append(LayerParams(**kwargs))
-    return EncoderParams(embedding=tensors["encoder.embedding"], layers=layers)
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a v1 checkpoint into one parameter buffer.
+
+    Raises ValueError naming ``path`` unless the file holds a complete
+    header, a tensor index equal to the one the encoder config and head kind
+    imply (names, shapes and dtype, stored back to back), exactly that many
+    tensor bytes, and a vocabulary of ``vocab_size`` tokens.
+    """
     raw = Path(path).read_bytes()
+    try:
+        return _read_checkpoint(raw)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint header lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(raw: bytes) -> Checkpoint:
     if not raw.startswith(_CKPT_MAGIC):
-        raise ValueError(f"{path}: not a checkpoint file")
-    pos = len(_CKPT_MAGIC)
-    header_len = int.from_bytes(raw[pos : pos + 8], "little")
-    pos += 8
-    header = json.loads(raw[pos : pos + header_len].decode("utf-8"))
-    if header.get("version") != 1:
-        raise ValueError(f"{path}: unsupported checkpoint version")
-    base = pos + header_len
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        start = base + entry["offset"]
-        buf = raw[start : start + entry["nbytes"]]
-        arr = np.frombuffer(buf, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr
+        raise ValueError("not a checkpoint file")
+    pos = len(_CKPT_MAGIC) + 8
+    base = pos + int.from_bytes(raw[pos - 8 : pos], "little")  # start of the tensors
+    if base > len(raw):
+        raise ValueError("truncated checkpoint header")
+    header = json.loads(raw[pos:base].decode("utf-8"))
+    if not isinstance(header, dict) or header.get("version") != 1:
+        raise ValueError("unsupported checkpoint version")
     enc_cfg = EncoderConfig(**header["encoder_config"])
     head_kind = header["head_kind"]
-    head_cls = task_for_head(head_kind).head_cls
-    head = head_cls(**{name: tensors[f"head.{name}"] for name in head_cls.__dataclass_fields__})
-    vocab_tokens = header["vocab"]
-    if len(vocab_tokens) < 4:
-        raise ValueError(f"{path}: truncated vocabulary in checkpoint header")
-    vocab = Vocab.from_tokens(vocab_tokens[4:])
+    dtype = np.dtype(enc_cfg.np_dtype)
+    index = _tensor_index((n, dtype, s) for n, s in model_shapes(enc_cfg, head_kind).items())
+    got = list(header["tensors"])
+    if got != index:
+        where = next((e["name"] for k, e in enumerate(index) if got[k : k + 1] != [e]), "the end")
+        raise ValueError(f"tensor index differs from encoder_config and head_kind at {where}")
+    nbytes = index[-1]["offset"] + index[-1]["nbytes"]
+    if len(raw) - base != nbytes:
+        raise ValueError(f"tensor section is {len(raw) - base} bytes, expected {nbytes}")
+    vocab_tokens, vocab_size = header["vocab"], enc_cfg.vocab_size
+    if len(vocab_tokens) != vocab_size:
+        raise ValueError(f"vocabulary has {len(vocab_tokens)} tokens, vocab_size is {vocab_size}")
+    flat = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, base).copy()
+    model = ParamStore(flat, enc_cfg, head_kind)
     return Checkpoint(
-        encoder_params=_build_encoder_params(enc_cfg, tensors),
+        encoder_params=model.encoder,
         encoder_config=enc_cfg,
-        head=head,
+        head=model.head,
         head_kind=head_kind,
-        vocab=vocab,
+        vocab=Vocab.from_tokens(vocab_tokens[4:]),
         train_config=TrainConfig.from_dict(header["train_config"]),
         dev_score=header["dev_score"],
         seed=header["seed"],
@@ -364,8 +399,9 @@ def _encode_labeled(task: Task, examples, vocab: Vocab, max_len: int) -> Encoded
     return data
 
 
-def _train_step(task: Task, params, enc_cfg, head, batch: Encoded, rng):
-    """Loss and flat gradients of one training batch.
+def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: Encoded, rng):
+    """Loss and gradients of one training batch; the gradients are a
+    ParamStore over a new zeroed buffer.
 
     The batch is cut to ``inference_length`` positions (its last real
     position, rounded up to 8) before the forward.  Padded keys are masked
@@ -383,10 +419,14 @@ def _train_step(task: Task, params, enc_cfg, head, batch: Encoded, rng):
     )
     cache: dict = {}
     hidden = forward_batch(
-        params, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache
+        model.encoder, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache
     )
-    loss, head_grads, d_hidden = task.loss_and_grad(head, hidden, batch)
-    return loss, _flat(backward_batch(params, enc_cfg, cache, d_hidden), head_grads.items())
+    loss, head_grads, d_hidden = task.loss_and_grad(model.head, hidden, batch)
+    grads = ParamStore(np.zeros_like(model.flat), enc_cfg, task.head_kind)
+    backward_batch(model.encoder, enc_cfg, cache, d_hidden, grads.encoder)
+    for name, g in head_grads.items():
+        getattr(grads.head, name)[...] = g
+    return loss, grads
 
 
 def train(
@@ -421,18 +461,16 @@ def train(
     enc_cfg = replace(encoder, vocab_size=vocab.size, max_len=cfg.max_len)
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(enc_cfg, cfg.seed)
     head = init_head(task.head_kind, enc_cfg.d_model, rng, enc_cfg.np_dtype)
+    model = ParamStore.of(enc_cfg, init_params(enc_cfg, cfg.seed), head, task.head_kind)
 
     train_data = _encode_labeled(task, train_set, vocab, cfg.max_len)
     dev_data = _encode_labeled(task, dev_set, vocab, cfg.max_len)
 
-    flat_params = _flat(params, head.named())
     adam = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
 
     best_score = -1.0
-    best_params = None
-    best_head = None
+    best_flat = None
     epoch_losses: list[float] = []
     epoch_scores: list[float] = []
 
@@ -441,26 +479,26 @@ def train(
         batch_losses = []
         for bi, start in enumerate(range(0, train_data.n, cfg.batch_size)):
             batch = train_data.rows(order[start : start + cfg.batch_size])
-            loss, flat_grads = _train_step(task, params, enc_cfg, head, batch, rng)
+            loss, grads = _train_step(task, model, enc_cfg, batch, rng)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss in epoch {epoch} at batch {bi}"
                 )
-            clip_by_global_norm(flat_grads, cfg.clip_norm)
-            adam.step(flat_params, flat_grads)
+            clip_by_global_norm(grads.flat, cfg.clip_norm, grads.tensors)
+            adam.step(model.flat, grads.flat)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-        score = task.dev_metric(task.run(params, enc_cfg, head, dev_data), dev_data)
+        score = task.dev_metric(task.run(model.encoder, enc_cfg, model.head, dev_data), dev_data)
         epoch_scores.append(score)
         if score > best_score:
             best_score = score
-            best_params = params.copy()
-            best_head = copy.deepcopy(head)
+            best_flat = model.flat.copy()
 
+    best = ParamStore(best_flat, enc_cfg, task.head_kind)
     ckpt = Checkpoint(
-        encoder_params=best_params,
+        encoder_params=best.encoder,
         encoder_config=enc_cfg,
-        head=best_head,
+        head=best.head,
         head_kind=task.head_kind,
         vocab=vocab,
         train_config=cfg,

@@ -12,13 +12,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from finkey.corpus import SentimentLabel, build_mrc_dataset, build_pair_dataset
+from finkey.corpus import (
+    Document,
+    MrcExample,
+    PairExample,
+    SentimentLabel,
+    build_mrc_dataset,
+    build_pair_dataset,
+)
 from finkey.encoder import (
     EncoderConfig,
+    backward_batch,
     bow_encode,
-    backward,
     forward,
-    forward_cached,
+    forward_batch,
     init_params,
 )
 from finkey.evaluation import (
@@ -30,6 +37,7 @@ from finkey.evaluation import (
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import (
     DEFAULT_TEMPLATE,
+    TASKS,
     FocalConfig,
     SentimentPrediction,
     build_question,
@@ -46,7 +54,9 @@ from finkey.tasks import (
 )
 from finkey.tokenizer import encode_pair, encode_single, vocab_from_texts
 from finkey.training import (
+    ParamStore,
     TrainConfig,
+    _train_step,
     kfold_split,
     save_checkpoint,
     train,
@@ -209,6 +219,20 @@ def _fd_all_coords(arrays_with_grads, loss_fn):
             _assert_grad_close(gflat[i], (up - down) / (2 * _EPS))
 
 
+def _cached_forward(params, enc, seq):
+    """Hidden states (seq_len, d_model) and activation cache of one sequence."""
+    cache: dict = {}
+    ids, mask = np.asarray(seq.ids)[None, :], np.asarray(seq.attention_mask)[None, :]
+    return forward_batch(params, enc, ids, mask, cache=cache)[0], cache
+
+
+def _cls_upstream(enc, d_pooled):
+    """An upstream gradient on the sentence vector, as one on the hidden states."""
+    d_hidden = np.zeros((1, enc.max_len, enc.d_model))
+    d_hidden[0, 0] = d_pooled
+    return d_hidden
+
+
 def _grad_check_setup():
     vocab = vocab_from_texts(["alpha beta gamma loss gain", "one two three four"])
     enc = EncoderConfig(
@@ -231,8 +255,8 @@ def test_criterion_2_gradient_correctness():
         def encoder_loss():
             return float((forward(params, enc, seq).token_vecs * upstream).sum())
 
-        _, cache = forward_cached(params, enc, seq)
-        grads = backward(params, enc, cache, d_token_vecs=upstream)
+        _, cache = _cached_forward(params, enc, seq)
+        grads = backward_batch(params, enc, cache, upstream[None])
         _fd_all_coords(
             list(zip((a for _, a in params.named()), (g for _, g in grads.named()))),
             encoder_loss,
@@ -245,11 +269,11 @@ def test_criterion_2_gradient_correctness():
             pooled = forward(params, enc, seq).sentence_vec
             return cross_entropy(pooled @ head.w + head.b, 0)[0]
 
-        _, cache = forward_cached(params, enc, seq)
-        pooled = cache["hidden"][0, 0]
+        hidden, cache = _cached_forward(params, enc, seq)
+        pooled = hidden[0]
         loss, dlogits = cross_entropy(pooled @ head.w + head.b, 0)
         d_pooled = head.w @ dlogits
-        enc_grads = backward(params, enc, cache, d_sentence_vec=d_pooled)
+        enc_grads = backward_batch(params, enc, cache, _cls_upstream(enc, d_pooled))
         head_grads = [(head.w, np.outer(pooled, dlogits)), (head.b, dlogits)]
         _fd_all_coords(head_grads, sentiment_loss)
         _fd_all_coords(
@@ -266,11 +290,11 @@ def test_criterion_2_gradient_correctness():
             z = np.array([pooled @ mhead.w + mhead.b[0]])
             return float(focal_loss_from_logits(z, np.array([1]), fc)[0][0])
 
-        _, cache = forward_cached(params, enc, seq)
-        pooled = cache["hidden"][0, 0]
+        hidden, cache = _cached_forward(params, enc, seq)
+        pooled = hidden[0]
         z = np.array([pooled @ mhead.w + mhead.b[0]])
         _, dz = focal_loss_from_logits(z, np.array([1]), fc)
-        enc_grads = backward(params, enc, cache, d_sentence_vec=dz[0] * mhead.w)
+        enc_grads = backward_batch(params, enc, cache, _cls_upstream(enc, dz[0] * mhead.w))
         head_grads = [(mhead.w, dz[0] * pooled), (mhead.b, dz.copy())]
         _fd_all_coords(head_grads, match_loss)
         _fd_all_coords(
@@ -291,13 +315,12 @@ def test_criterion_2_gradient_correctness():
             e = hidden @ shead.w_end + shead.b_end[0]
             return span_loss(s, e, valid, gold_s, gold_e)[0]
 
-        _, cache = forward_cached(params, enc, seq)
-        hidden = cache["hidden"][0]
+        hidden, cache = _cached_forward(params, enc, seq)
         s = hidden @ shead.w_start + shead.b_start[0]
         e = hidden @ shead.w_end + shead.b_end[0]
         _, ds, de = span_loss(s, e, valid, gold_s, gold_e)
         d_tok = np.outer(ds, shead.w_start) + np.outer(de, shead.w_end)
-        enc_grads = backward(params, enc, cache, d_token_vecs=d_tok)
+        enc_grads = backward_batch(params, enc, cache, d_tok[None])
         head_grads = [
             (shead.w_start, hidden.T @ ds),
             (shead.b_start, np.array([ds.sum()])),
@@ -309,6 +332,51 @@ def test_criterion_2_gradient_correctness():
             list(zip((a for _, a in params.named()), (g for _, g in enc_grads.named()))),
             span_loss_value,
         )
+
+
+def _train_step_batch(task_name, vocab, enc):
+    """Three labeled inputs of a task, encoded as one training batch."""
+    texts = ["loss alpha one two", "gain beta three", "alpha gamma four one"]
+    labels = [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE, SentimentLabel.POSITIVE]
+    items = {
+        "sentiment": [Document(str(i), t, t, sentiment=y) for i, (t, y) in enumerate(zip(texts, labels))],
+        "match": [PairExample(str(i), e, t, i % 2) for i, (e, t) in enumerate(zip(["alpha", "beta", "four"], texts))],
+        "mrc": [MrcExample(str(i), "which alpha?", t, (0, t.index(" "))) for i, t in enumerate(texts)],
+    }[task_name]
+    return TASKS[task_name]().encode(items, vocab, enc.max_len)
+
+
+@pytest.mark.parametrize("task_name", ["sentiment", "match", "mrc"])
+def test_train_step_gradients_match_finite_differences(task_name):
+    """The gradients training applies (``_train_step``: trimmed batch,
+    batched head loss, backward into the flat gradient buffer) against
+    float64 central differences of its own loss, at sampled coordinates of
+    the flat parameter buffer and at every head coordinate."""
+    vocab, enc, params = _grad_check_setup()
+    task = TASKS[task_name]()
+    if task_name == "match":
+        task = type(task)(focal=FocalConfig(gamma=2.0, alpha=0.3))
+    head = init_head(task.head_kind, enc.d_model, np.random.default_rng(6), np.float64)
+    model = ParamStore.of(enc, params, head, task.head_kind)
+    batch = _train_step_batch(task_name, vocab, enc)
+    assert batch.n == 3
+    rng = np.random.default_rng(0)  # dropout is 0, so the step draws nothing
+
+    def loss():
+        return _train_step(task, model, enc, batch, rng)[0]
+
+    _, grads = _train_step(task, model, enc, batch, rng)
+    n_head = sum(t.size for t in model.tensors[-len(head.__dataclass_fields__):])
+    coords = np.random.default_rng(11).choice(model.flat.size - n_head, size=64, replace=False)
+    flat = model.flat
+    for i in [*coords, *range(flat.size - n_head, flat.size)]:
+        orig = flat[i]
+        flat[i] = orig + _EPS
+        up = loss()
+        flat[i] = orig - _EPS
+        down = loss()
+        flat[i] = orig
+        _assert_grad_close(grads.flat[i], (up - down) / (2 * _EPS))
 
 
 # ---------------------------------------------------------------------------

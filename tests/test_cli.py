@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from finkey.cli import main
 from finkey.corpus import save_corpus
+from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
+from finkey.tasks import init_head
+from finkey.tokenizer import vocab_from_texts
+from finkey.training import Checkpoint, TrainConfig, save_checkpoint
 
 
 def write_config(tmp_path, **overrides):
@@ -127,7 +132,28 @@ BAD_INPUTS = {
     "search_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
     "train_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
+    "truncated_checkpoint": (2, "tensor section is"),
+    "checkpoint_missing_tensor": (2, "tensor index differs"),
+    "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
 }
+
+
+def write_bad_checkpoint(path, case):
+    """A small sentiment checkpoint, cut short or with one tensor left out of its index."""
+    vocab = vocab_from_texts(["alpha beta"])
+    enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=16)
+    head = init_head("sentiment", enc.d_model, np.random.default_rng(0))
+    train_cfg = TrainConfig(task="sentiment", max_len=16)
+    save_checkpoint(Checkpoint(init_params(enc, 0), enc, head, "sentiment", vocab, train_cfg, 0.5, 0), path)
+    raw = path.read_bytes()
+    if case == "truncated_checkpoint":
+        path.write_bytes(raw[:-100])
+        return
+    n = int.from_bytes(raw[12:20], "little")
+    header = json.loads(raw[20 : 20 + n])
+    header["tensors"].pop(1)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :])
 
 
 def bad_input_argv(tmp_path, case):
@@ -141,8 +167,15 @@ def bad_input_argv(tmp_path, case):
         (tmp_path / "vocab.tsv").write_text("[PAD]\tzero\n", encoding="utf-8")
         path, _ = write_config(tmp_path, paths={**paths, "vocab": str(tmp_path / "vocab.tsv")})
         return ["train", "--task", "sentiment", "--config", str(path)]
-    if case == "non_checkpoint_file":
-        (tmp_path / "bad.ckpt").write_text("not a checkpoint", encoding="utf-8")
+    if case == "beta2_one":
+        _, cfg = write_config(tmp_path)
+        path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], "beta2": 1.0})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    if "checkpoint" in case:
+        if case == "non_checkpoint_file":
+            (tmp_path / "bad.ckpt").write_text("not a checkpoint", encoding="utf-8")
+        else:
+            write_bad_checkpoint(tmp_path / "bad.ckpt", case)
         path, _ = write_config(tmp_path, pipeline={
             "mode": "coarse",
             "sentiment_checkpoints": [str(tmp_path / "bad.ckpt")],

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from finkey.encoder import (
     EncoderConfig,
+    backward_batch,
     bow_encode,
-    backward,
     forward,
     forward_batch,
-    forward_cached,
     forward_inference,
     gelu,
     gelu_grad,
@@ -28,6 +27,14 @@ def vocab():
     return vocab_from_texts(
         ["alpha beta gamma delta epsilon", "one two three four five six"]
     )
+
+
+def cached_forward(params, cfg, seq):
+    """Activation cache of a full-length forward over one sequence."""
+    cache: dict = {}
+    ids, mask = np.asarray(seq.ids)[None, :], np.asarray(seq.attention_mask)[None, :]
+    forward_batch(params, cfg, ids, mask, cache=cache)
+    return cache
 
 
 def tiny_config(vocab, **overrides):
@@ -103,7 +110,7 @@ class TestForward:
         cfg = tiny_config(vocab)
         params = init_params(cfg, 0)
         seq = encode_pair("alpha", "one two three", vocab, cfg.max_len)
-        _, cache = forward_cached(params, cfg, seq)
+        cache = cached_forward(params, cfg, seq)
         for layer in cache["layers"]:
             np.testing.assert_allclose(layer["probs"].sum(axis=-1), 1.0, atol=1e-9)
 
@@ -111,7 +118,7 @@ class TestForward:
         cfg = tiny_config(vocab)
         params = init_params(cfg, 0)
         seq = encode_single("alpha", vocab, cfg.max_len)
-        _, cache = forward_cached(params, cfg, seq)
+        cache = cached_forward(params, cfg, seq)
         n_real = seq.n_real
         for layer in cache["layers"]:
             assert np.all(layer["probs"][..., n_real:] == 0.0)
@@ -219,14 +226,13 @@ class TestTrimmedInference:
 
 
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):
-    """All-coordinate central-difference check of backward().
+    """All-coordinate central-difference check of backward_batch().
 
     Differences below ``atol`` count as agreement: central differences carry
     cancellation noise around 1e-10 even at float64, and some parameters
     (e.g. key-projection biases) have exactly zero analytic gradient.
     """
-    _, cache = forward_cached(params, cfg, seq)
-    grads = backward(params, cfg, cache, d_token_vecs=upstream)
+    grads = backward_batch(params, cfg, cached_forward(params, cfg, seq), upstream[None])
     eps = 1e-5
     worst = 0.0
     for (name, arr), (_, garr) in zip(params.named(), grads.named()):
@@ -251,8 +257,8 @@ class TestBackward:
         cfg = tiny_config(vocab)
         params = init_params(cfg, 1)
         seq = encode_single("alpha beta", vocab, cfg.max_len)
-        _, cache = forward_cached(params, cfg, seq)
-        grads = backward(params, cfg, cache, d_token_vecs=np.zeros((16, 8)))
+        cache = cached_forward(params, cfg, seq)
+        grads = backward_batch(params, cfg, cache, np.zeros((1, 16, 8)))
         for _, g in grads.named():
             assert np.all(g == 0.0)
 
@@ -260,11 +266,9 @@ class TestBackward:
         cfg = tiny_config(vocab)
         params = init_params(cfg, 1)
         seq = encode_single("alpha beta", vocab, cfg.max_len)
-        _, cache = forward_cached(params, cfg, seq)
+        cache = cached_forward(params, cfg, seq)
         rng = np.random.default_rng(0)
-        grads = backward(
-            params, cfg, cache, d_token_vecs=rng.normal(size=(16, 8))
-        )
+        grads = backward_batch(params, cfg, cache, rng.normal(size=(1, 16, 8)))
         used = set(seq.ids)
         for row in range(cfg.vocab_size):
             if row not in used:
@@ -279,17 +283,21 @@ class TestBackward:
         worst, rtol = finite_difference_check(params, cfg, seq, upstream)
         assert worst < rtol
 
-    def test_sentence_vec_upstream_hits_cls_row(self, vocab):
+    def test_backward_adds_into_given_grads(self, vocab):
         cfg = tiny_config(vocab)
         params = init_params(cfg, 2)
-        seq = encode_single("alpha", vocab, cfg.max_len)
-        _, cache = forward_cached(params, cfg, seq)
-        g_vec = backward(params, cfg, cache, d_sentence_vec=np.ones(cfg.d_model))
-        d_tok = np.zeros((cfg.max_len, cfg.d_model))
-        d_tok[0] = 1.0
-        g_tok = backward(params, cfg, cache, d_token_vecs=d_tok)
-        for (_, a), (_, b) in zip(g_vec.named(), g_tok.named()):
-            np.testing.assert_allclose(a, b, atol=0)
+        cache = cached_forward(params, cfg, encode_single("alpha", vocab, cfg.max_len))
+        d_cls = np.zeros((1, cfg.max_len, cfg.d_model))
+        d_cls[0, 0] = 1.0  # an upstream gradient on the sentence vector
+        d_rest = np.random.default_rng(0).normal(size=d_cls.shape)
+        d_rest[0, 0] = 0.0
+        g_cls = backward_batch(params, cfg, cache, d_cls)
+        g_rest = backward_batch(params, cfg, cache, d_rest)
+        want = [g + r for (_, g), (_, r) in zip(g_cls.named(), g_rest.named())]
+        summed = backward_batch(params, cfg, cache, d_rest, g_cls)
+        assert summed is g_cls
+        for (name, got), w in zip(summed.named(), want):
+            np.testing.assert_allclose(got, w, rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_weight_grad_equals_einsum(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from finkey.training import (
     Adam,
     Checkpoint,
     NumericalError,
+    ParamStore,
     TrainConfig,
     clip_by_global_norm,
     cross_validate,
@@ -22,7 +25,7 @@ from finkey.training import (
     save_checkpoint,
     train,
 )
-from finkey.training import _flat, _train_step
+from finkey.training import _train_step
 
 
 def make_doc(i, text, negative):
@@ -78,6 +81,13 @@ class TestTrainConfig:
         assert cfg.focal_config() == FocalConfig()
         cfg = TrainConfig(task="match", loss="cross_entropy")
         assert cfg.focal_config().gamma == 0.0
+
+    @pytest.mark.parametrize(
+        "field, value", [("beta1", 1.0), ("beta2", 1.0), ("beta2", 1.5), ("beta1", -0.1), ("adam_eps", 0.0)]
+    )
+    def test_adam_settings_that_cannot_train(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(task="sentiment", **{field: value})
 
     def test_round_trip_dict(self):
         cfg = TrainConfig(
@@ -137,30 +147,35 @@ class TestDocumentFolds:
 
 class TestAdamAndClip:
     def test_adam_moves_toward_minimum(self):
-        params = {"w": np.array([5.0])}
+        params = np.array([5.0, -3.0])
         adam = Adam(lr=0.1)
         for _ in range(200):
-            grads = {"w": 2 * params["w"]}  # d/dw of w^2
-            adam.step(params, grads)
-        assert abs(params["w"][0]) < 0.1
+            adam.step(params, 2 * params)  # d/dw of w^2
+        assert np.all(np.abs(params) < 0.1)
 
     def test_zero_lr_keeps_params(self):
-        params = {"w": np.array([1.0, 2.0])}
+        params = np.array([1.0, 2.0])
         adam = Adam(lr=0.0)
-        adam.step(params, {"w": np.array([3.0, -4.0])})
-        np.testing.assert_array_equal(params["w"], [1.0, 2.0])
+        adam.step(params, np.array([3.0, -4.0]))
+        np.testing.assert_array_equal(params, [1.0, 2.0])
 
     def test_clip_rescales_to_max_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        norm = clip_by_global_norm(grads, 1.0)
+        grads = np.array([3.0, 4.0])
+        norm = clip_by_global_norm(grads, 1.0, [grads[:1], grads[1:]])
         assert norm == pytest.approx(5.0)
-        total = np.sqrt(sum(float(np.sum(g**2)) for g in grads.values()))
-        assert total == pytest.approx(1.0)
+        assert np.sqrt(np.sum(grads**2)) == pytest.approx(1.0)
 
     def test_clip_leaves_small_gradients(self):
-        grads = {"a": np.array([0.3])}
-        clip_by_global_norm(grads, 1.0)
-        np.testing.assert_allclose(grads["a"], [0.3])
+        grads = np.array([0.3])
+        clip_by_global_norm(grads, 1.0, [grads])
+        np.testing.assert_allclose(grads, [0.3])
+
+    def test_clip_sums_squares_part_by_part(self):
+        rng = np.random.default_rng(0)
+        grads = rng.normal(size=1000).astype(np.float32)
+        parts = [grads[:7], grads[7:500], grads[500:]]
+        want = np.sqrt(sum(float(np.sum(np.square(p, dtype=np.float64))) for p in parts))
+        assert clip_by_global_norm(grads.copy(), 1.0, parts) == want
 
 
 @pytest.fixture(scope="module")
@@ -169,16 +184,20 @@ def sentiment_sets():
     return docs[:48], docs[48:]
 
 
+def all_tensors(ckpt):
+    """Every encoder and head tensor of a checkpoint, in checkpoint order."""
+    return [*ckpt.encoder_params.named(), *ckpt.head.named()]
+
+
 class TestTrain:
-    def test_bitwise_deterministic(self, sentiment_sets):
+    def test_bitwise_deterministic(self, sentiment_sets, tmp_path):
         train_set, dev_set = sentiment_sets
         cfg = small_cfg()
         r1 = train(train_set, dev_set, cfg, encoder=SMALL_ENC)
         r2 = train(train_set, dev_set, cfg, encoder=SMALL_ENC)
-        for (n1, a1), (n2, a2) in zip(
-            r1.checkpoint.encoder_params.named(), r2.checkpoint.encoder_params.named()
-        ):
-            assert n1 == n2 and np.array_equal(a1, a2)
+        save_checkpoint(r1.checkpoint, tmp_path / "a.ckpt")
+        save_checkpoint(r2.checkpoint, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         assert r1.epoch_losses == r2.epoch_losses
         assert r1.checkpoint.dev_score == r2.checkpoint.dev_score
 
@@ -369,18 +388,18 @@ class TestTrimmedTrainingStep:
             params, enc, batch.ids, batch.mask, training=True, rng=rng_padded, cache=cache
         )
         loss, head_grads, d_hidden = task.loss_and_grad(head, hidden, batch)
-        padded = _flat(backward_batch(params, enc, cache, d_hidden), head_grads.items())
-        trimmed_loss, trimmed = _train_step(task, params, enc, head, batch, rng_trimmed)
+        padded = [a for _, a in backward_batch(params, enc, cache, d_hidden).named()]
+        padded += list(head_grads.values())
+        model = ParamStore.of(enc, params, head, task.head_kind)
+        trimmed_loss, trimmed = _train_step(task, model, enc, batch, rng_trimmed)
 
         assert trimmed_loss == pytest.approx(loss, rel=1e-10)
-        assert trimmed.keys() == padded.keys()
-        for name in padded:
+        assert len(trimmed.tensors) == len(padded)
+        for k, (got, want) in enumerate(zip(trimmed.tensors, padded)):
             # The key-bias gradients are zero in exact arithmetic (softmax
             # ignores a shift shared by all keys), so at float64 they are
             # rounding noise of about 1e-17; atol covers only that.
-            np.testing.assert_allclose(
-                trimmed[name], padded[name], rtol=1e-10, atol=1e-14, err_msg=name
-            )
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14, err_msg=str(k))
         assert rng_trimmed.bit_generator.state == rng_padded.bit_generator.state
 
 
@@ -391,9 +410,8 @@ class TestCheckpointSerialization:
         path = tmp_path / "model.ckpt"
         save_checkpoint(result.checkpoint, path)
         loaded = load_checkpoint(path)
-        for (n1, a1), (n2, a2) in zip(
-            result.checkpoint.encoder_params.named(), loaded.encoder_params.named()
-        ):
+        assert len(all_tensors(loaded)) == len(all_tensors(result.checkpoint))
+        for (n1, a1), (n2, a2) in zip(all_tensors(result.checkpoint), all_tensors(loaded)):
             assert n1 == n2
             assert a1.dtype == a2.dtype
             assert np.array_equal(a1, a2)
@@ -450,6 +468,57 @@ class TestCheckpointSerialization:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    """A checkpoint with its JSON header changed by ``edit`` and the tensor bytes kept."""
+    n = int.from_bytes(raw[12:20], "little")
+    header = json.loads(raw[20 : 20 + n])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :]
+
+
+def _drop_tensor(header, name="encoder.layers.0.bq"):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
+
+
+MALFORMED_CHECKPOINTS = {
+    "truncated_header": (lambda raw: raw[:60], "truncated checkpoint header"),
+    "truncated_tail": (lambda raw: raw[:-100], "tensor section is"),
+    "missing_tensor": (lambda raw: _edit_header(raw, _drop_tensor), "at encoder.layers.0.bq"),
+    "no_tensor_index": (
+        lambda raw: _edit_header(raw, lambda h: h.pop("tensors")), "lacks 'tensors'"
+    ),
+    "wrong_shape": (
+        lambda raw: _edit_header(raw, lambda h: h["tensors"][-2].update(shape=[8, 3])), "at head.w"
+    ),
+    "bad_dtype": (
+        lambda raw: _edit_header(raw, lambda h: [e.update(dtype="float99") for e in h["tensors"]]),
+        "at encoder.embedding",
+    ),
+    "config_mismatch": (
+        lambda raw: _edit_header(raw, lambda h: h["encoder_config"].update(d_model=32)),
+        "at encoder.embedding",
+    ),
+    "vocab_size_mismatch": (
+        lambda raw: _edit_header(raw, lambda h: h["vocab"].pop()), "vocab_size is"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_rejected(sentiment_sets, tmp_path, case):
+    """Each malformed file raises one ValueError that names it."""
+    train_set, dev_set = sentiment_sets
+    result = train(train_set, dev_set, small_cfg(epochs=1), encoder=SMALL_ENC)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(result.checkpoint, path)
+    corrupt, message = MALFORMED_CHECKPOINTS[case]
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
 
 
 class TestCrossValidate:
