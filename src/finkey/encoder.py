@@ -18,7 +18,11 @@ batch to ``inference_length`` (the last real position of any row, rounded
 up to 8) and runs them there, and weight gradients are one BLAS matrix
 product each (``weight_grad``).  ``forward_inference`` is the inference
 entry point: it runs ``forward_batch`` over each row's real prefix only,
-grouping rows of equal length.  ``forward`` encodes one TokenSequence.
+grouping rows of equal length.  With ``pooled=True`` (heads that read the
+[CLS] row only) the last layer computes keys and values at every position
+and everything else over the first two rows (``query_rows``); the [CLS]
+row comes out bit-identical to the full forward's.  ``forward`` encodes one
+TokenSequence.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -39,6 +43,11 @@ from .tokenizer import TokenSequence
 _LN_EPS = 1e-5
 _LENGTH_MULTIPLE = 8  # inference and training cut batches to a multiple of this
 _INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
+# Query rows a pooled forward keeps in its last layer.  One would do for the
+# [CLS] row, but numpy hands a one-row matrix product to BLAS gemv, which
+# sums in another order than the gemm of the full forward; with two rows
+# every product stays a gemm and the [CLS] row stays bit-identical.
+_POOLED_ROWS = 2
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -264,6 +273,7 @@ def forward_batch(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     cache: Optional[dict] = None,
+    query_rows: Optional[int] = None,
 ) -> np.ndarray:
     """Run the encoder over (batch, T) id/mask arrays, 1 <= T <= max_len.
 
@@ -273,6 +283,12 @@ def forward_batch(
     Returns the final hidden states, shape (batch, T, d_model).  When
     ``cache`` is a dict, the intermediates needed by backward_batch (and the
     per-layer attention probabilities) are recorded into it.
+
+    With ``query_rows`` (1 <= query_rows <= T, inference only) the last
+    layer computes keys and values at all T positions and the rest of the
+    layer (queries, attention, output projection, layer norms, FFN) over the
+    first ``query_rows`` positions only; the result has shape (batch,
+    query_rows, d_model) and equals those rows of the full forward.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
@@ -284,6 +300,11 @@ def forward_batch(
     if key_real.shape != ids.shape:
         raise ValueError("attn_mask shape must match ids")
 
+    if query_rows is not None:
+        if training or cache is not None:
+            raise ValueError("query_rows applies to inference without a cache only")
+        if not 1 <= query_rows <= ids.shape[1]:
+            raise ValueError(f"query_rows must lie in [1, {ids.shape[1]}]")
     use_dropout = training and config.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
@@ -299,9 +320,11 @@ def forward_batch(
 
     scale = 1.0 / math.sqrt(config.d_head)
     for lp in params.layers:
-        q = x @ lp.wq + lp.bq
         k = x @ lp.wk + lp.bk
         v = x @ lp.wv + lp.bv
+        if query_rows is not None and lp is params.layers[-1]:
+            x = x[:, :query_rows]
+        q = x @ lp.wq + lp.bq
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
         vh = _split_heads(v, config.n_heads)
@@ -447,6 +470,8 @@ def forward_inference(
     config: EncoderConfig,
     ids: np.ndarray,
     attn_mask: np.ndarray,
+    *,
+    pooled: bool = False,
 ) -> np.ndarray:
     """Inference-mode hidden states, each row run over its own real prefix.
 
@@ -456,6 +481,12 @@ def forward_inference(
     bit-identical to its rows run alone (README, encoder section).  Returns
     shape (batch, T, d_model) with T the longest row length; positions past
     a row's own length are zero.  Zero rows give an empty result.
+
+    With ``pooled`` the last layer runs its queries over the first
+    min(2, T) positions only (forward_batch's ``query_rows``), for heads
+    that read the [CLS] row alone: the result has shape (batch, min(2, T),
+    d_model), where T is the width of ``ids``, and its [CLS] rows are
+    bit-identical to the unpooled ones.
     """
     ids = np.asarray(ids)
     mask = np.asarray(attn_mask)
@@ -463,12 +494,15 @@ def forward_inference(
         raise ValueError(f"ids must have shape (batch, T) with 1 <= T <= {config.max_len}")
     lengths = _row_lengths(mask, ids.shape[1])
     t_max = int(lengths.max(initial=min(ids.shape[1], _LENGTH_MULTIPLE)))
-    hidden = np.zeros((ids.shape[0], t_max, config.d_model), dtype=config.np_dtype)
+    # Every group is at least min(T, 8) positions long, so it has these rows.
+    query_rows = min(_POOLED_ROWS, ids.shape[1]) if pooled else None
+    hidden = np.zeros((ids.shape[0], query_rows or t_max, config.d_model), dtype=config.np_dtype)
     for t in np.unique(lengths):
         rows = np.flatnonzero(lengths == t)
         for i in range(0, rows.size, _INFERENCE_CHUNK):
             sel = rows[i : i + _INFERENCE_CHUNK]
-            hidden[sel, :t] = forward_batch(params, config, ids[sel, :t], mask[sel, :t])
+            out = forward_batch(params, config, ids[sel, :t], mask[sel, :t], query_rows=query_rows)
+            hidden[sel, : out.shape[1]] = out
     return hidden
 
 

@@ -416,11 +416,14 @@ class Task:
     the hidden states); ``predict`` takes inference hidden states from
     ``forward_inference`` and returns one prediction per row, applying the
     head row by row so that a row's prediction does not depend on the batch.
+    A ``pooled`` task's head reads the [CLS] row only, so ``run`` asks
+    ``forward_inference`` for a pooled forward.
     """
 
     name: ClassVar[str]
     head_kind: ClassVar[str]
     head_cls: ClassVar[type]
+    pooled: ClassVar[bool]
     focal: FocalConfig = FocalConfig(gamma=0.0)  # match loss; gamma 0 is cross-entropy
     threshold: float = 0.5  # match dev metric
     max_span_len: int = DEFAULT_MAX_SPAN_LEN  # span prediction
@@ -461,7 +464,8 @@ class Task:
 
     def run(self, params: EncoderParams, config: EncoderConfig, head, data: Encoded) -> list:
         """Predictions for encoded inputs: one inference forward, then the head."""
-        return self.predict(head, forward_inference(params, config, data.ids, data.mask), data)
+        hidden = forward_inference(params, config, data.ids, data.mask, pooled=self.pooled)
+        return self.predict(head, hidden, data)
 
 
 @dataclass(frozen=True)
@@ -469,6 +473,7 @@ class SentimentTask(Task):
     name = "sentiment"
     head_kind = "sentiment"
     head_cls = SentimentHead
+    pooled = True
 
     def segments(self, doc: Document):
         return (doc.cleaned_text,)
@@ -498,7 +503,8 @@ class SentimentTask(Task):
         out = []
         for logits in hidden[:, :1, :] @ head.w + head.b:
             z = logits[0] - logits[0].max()
-            probs = np.exp(z) / np.exp(z).sum()
+            e = np.exp(z)
+            probs = e / e.sum()
             prob_negative = float(probs[NEGATIVE_INDEX])
             label = (
                 SentimentLabel.NEGATIVE if prob_negative >= 0.5 else SentimentLabel.POSITIVE
@@ -520,6 +526,7 @@ class MatchTask(Task):
     name = "match"
     head_kind = "match"
     head_cls = MatchHead
+    pooled = True
 
     def segments(self, ex: PairExample):
         return (ex.entity, ex.text)
@@ -575,6 +582,7 @@ class SpanTask(Task):
     name = "mrc"
     head_kind = "span"
     head_cls = SpanHead
+    pooled = False
 
     def segments(self, ex: MrcExample):
         return (ex.question, ex.context)

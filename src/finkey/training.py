@@ -275,15 +275,36 @@ def _tensor_index(tensors) -> list[dict]:
     return index
 
 
+def _check_layout(index: list[dict], enc_cfg: EncoderConfig, head_kind: str, n_tokens: int):
+    """Raise ValueError unless a tensor index equals the one the encoder
+    config and head kind imply and the vocabulary has vocab_size tokens."""
+    dtype = np.dtype(enc_cfg.np_dtype)
+    expected = _tensor_index((n, dtype, s) for n, s in model_shapes(enc_cfg, head_kind).items())
+    if index != expected:
+        where = next(
+            (e["name"] for k, e in enumerate(expected) if index[k : k + 1] != [e]), "the end"
+        )
+        raise ValueError(f"tensor index differs from encoder_config and head_kind at {where}")
+    if n_tokens != enc_cfg.vocab_size:
+        raise ValueError(f"vocabulary has {n_tokens} tokens, vocab_size is {enc_cfg.vocab_size}")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the versioned binary layout (see README); bit-exact.
 
-    The file is written next to ``path`` under a temporary name and moved
-    into place when complete, so a failed write leaves any checkpoint
-    already at ``path`` as it was.
+    Raises ValueError naming ``path``, and writes nothing, when the file
+    would not load: when the tensors' names, shapes or dtypes differ from
+    what the encoder config and head kind imply, or the vocabulary does not
+    have vocab_size tokens.  The file is written next to ``path`` under a
+    temporary name and moved into place when complete, so a failed write
+    leaves any checkpoint already at ``path`` as it was.
     """
     tensors = _named(ckpt.encoder_params, ckpt.head)
     index = _tensor_index((name, arr.dtype, arr.shape) for name, arr in tensors)
+    try:
+        _check_layout(index, ckpt.encoder_config, ckpt.head_kind, len(ckpt.vocab.id_to_token))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     header = {
         "format": "finkey-checkpoint",
         "version": 1,
@@ -342,18 +363,12 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         raise ValueError("unsupported checkpoint version")
     enc_cfg = EncoderConfig(**header["encoder_config"])
     head_kind = header["head_kind"]
-    dtype = np.dtype(enc_cfg.np_dtype)
-    index = _tensor_index((n, dtype, s) for n, s in model_shapes(enc_cfg, head_kind).items())
-    got = list(header["tensors"])
-    if got != index:
-        where = next((e["name"] for k, e in enumerate(index) if got[k : k + 1] != [e]), "the end")
-        raise ValueError(f"tensor index differs from encoder_config and head_kind at {where}")
+    index, vocab_tokens = list(header["tensors"]), header["vocab"]
+    _check_layout(index, enc_cfg, head_kind, len(vocab_tokens))
     nbytes = index[-1]["offset"] + index[-1]["nbytes"]
     if len(raw) - base != nbytes:
         raise ValueError(f"tensor section is {len(raw) - base} bytes, expected {nbytes}")
-    vocab_tokens, vocab_size = header["vocab"], enc_cfg.vocab_size
-    if len(vocab_tokens) != vocab_size:
-        raise ValueError(f"vocabulary has {len(vocab_tokens)} tokens, vocab_size is {vocab_size}")
+    dtype = np.dtype(enc_cfg.np_dtype)
     flat = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, base).copy()
     model = ParamStore(flat, enc_cfg, head_kind)
     return Checkpoint(

@@ -134,12 +134,14 @@ BAD_INPUTS = {
     "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "truncated_checkpoint": (2, "tensor section is"),
     "checkpoint_missing_tensor": (2, "tensor index differs"),
+    "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
     "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
 }
 
 
 def write_bad_checkpoint(path, case):
-    """A small sentiment checkpoint, cut short or with one tensor left out of its index."""
+    """A small sentiment checkpoint, cut short, with a bit of its header
+    length flipped, or with one tensor left out of its index."""
     vocab = vocab_from_texts(["alpha beta"])
     enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=16)
     head = init_head("sentiment", enc.d_model, np.random.default_rng(0))
@@ -148,6 +150,9 @@ def write_bad_checkpoint(path, case):
     raw = path.read_bytes()
     if case == "truncated_checkpoint":
         path.write_bytes(raw[:-100])
+        return
+    if case == "checkpoint_header_length_flipped":
+        path.write_bytes(raw[:17] + bytes([raw[17] ^ 0x10]) + raw[18:])
         return
     n = int.from_bytes(raw[12:20], "little")
     header = json.loads(raw[20 : 20 + n])

@@ -225,6 +225,52 @@ class TestTrimmedInference:
         assert hidden.shape == (0, 8, cfg.d_model)
 
 
+@st.composite
+def pooled_batches(draw):
+    """An encoder config and a batch of real-prefix rows at full width."""
+    d_head = draw(st.sampled_from([8, 12]))
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    max_len = draw(st.sampled_from([1, 4, 128]))
+    cfg = EncoderConfig(
+        vocab_size=20, d_model=d_head * n_heads, n_heads=n_heads,
+        n_layers=draw(st.integers(1, 3)), d_ff=2 * d_head * n_heads, max_len=max_len,
+        dropout_rate=0.0, dtype=draw(st.sampled_from(["float32", "float64"])),
+    )
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ids = rng.integers(0, cfg.vocab_size, size=(len(lengths), max_len))
+    mask = (np.arange(max_len)[None, :] < np.array(lengths)[:, None]).astype(np.int64)
+    return cfg, init_params(cfg, draw(st.integers(0, 99))), ids, mask
+
+
+class TestPooledForward:
+    @given(pooled_batches())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_query_rows_equal_full_forward_rows(self, batch):
+        cfg, params, ids, mask = batch
+        rows = min(2, cfg.max_len)
+        pooled = forward_batch(params, cfg, ids, mask, query_rows=rows)
+        full = forward_batch(params, cfg, ids, mask)
+        assert pooled.shape == (ids.shape[0], rows, cfg.d_model)
+        assert np.array_equal(pooled, full[:, :rows])
+        hidden = forward_inference(params, cfg, ids, mask, pooled=True)
+        assert hidden.shape == (ids.shape[0], rows, cfg.d_model)
+        assert np.array_equal(hidden[:, 0], forward_inference(params, cfg, ids, mask)[:, 0])
+
+    def test_query_rows_only_in_inference_without_cache(self, vocab):
+        cfg = tiny_config(vocab)
+        params = init_params(cfg, 0)
+        ids = np.full((2, 8), 5, dtype=np.int64)
+        mask = np.ones_like(ids)
+        with pytest.raises(ValueError, match="query_rows"):
+            forward_batch(params, cfg, ids, mask, training=True, query_rows=2)
+        with pytest.raises(ValueError, match="query_rows"):
+            forward_batch(params, cfg, ids, mask, cache={}, query_rows=2)
+        for rows in (0, 9):
+            with pytest.raises(ValueError, match="query_rows"):
+                forward_batch(params, cfg, ids, mask, query_rows=rows)
+
+
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):
     """All-coordinate central-difference check of backward_batch().
 

@@ -446,6 +446,26 @@ class TestBatchEqualsSingle:
             assert task.run(params, cfg, init_head(task.head_kind, cfg.d_model, rng), data) == []
 
 
+class TestPooledRun:
+    """The [CLS] heads run a pooled forward and predict what they predict
+    from every position's hidden states."""
+
+    @given(mixed_length_inputs())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_equal_to_unpooled_forward(self, drawn):
+        cfg, params, texts, rng = drawn
+        vocab = Vocab.from_tokens(WORDS)
+        docs = [Document(str(i), t, t) for i, t in enumerate(texts)]
+        pairs = [PairExample(str(i), "gain", t) for i, t in enumerate(texts)]
+        for task, items in ((SentimentTask(), docs), (MatchTask(), pairs)):
+            assert task.pooled
+            head = init_head(task.head_kind, cfg.d_model, rng)
+            data = task.encode(items, vocab, cfg.max_len)
+            full = finkey.encoder.forward_inference(params, cfg, data.ids, data.mask)
+            assert task.run(params, cfg, head, data) == task.predict(head, full, data)
+        assert not SpanTask.pooled
+
+
 class TestClassicalHeads:
     def blobs(self, n=60, seed=0):
         rng = np.random.default_rng(seed)

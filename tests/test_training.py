@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -519,6 +520,87 @@ def test_malformed_checkpoint_rejected(sentiment_sets, tmp_path, case):
     with pytest.raises(ValueError, match=message) as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def tiny_checkpoint(dtype="float32") -> Checkpoint:
+    """An untrained sentiment checkpoint of a one-layer encoder."""
+    vocab = vocab_from_texts(["alpha beta gamma"])
+    enc = EncoderConfig(
+        vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=16, dtype=dtype,
+    )
+    head = init_head("sentiment", enc.d_model, np.random.default_rng(0), enc.np_dtype)
+    return Checkpoint(
+        init_params(enc, 0), enc, head, "sentiment", vocab,
+        TrainConfig(task="sentiment", max_len=16), 0.5, 0,
+    )
+
+
+class TestSaveValidation:
+    def test_arrays_of_another_dtype_rejected(self, tmp_path):
+        ckpt = tiny_checkpoint("float64")
+        ckpt = replace(ckpt, encoder_config=replace(ckpt.encoder_config, dtype="float32"))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="at encoder.embedding") as err:
+            save_checkpoint(ckpt, path)
+        assert str(path) in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_head_of_another_shape_rejected(self, tmp_path):
+        ckpt = tiny_checkpoint()
+        ckpt.head.w = np.zeros((8, 3), np.float32)
+        with pytest.raises(ValueError, match="at head.w"):
+            save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vocabulary_of_another_size_rejected(self, tmp_path):
+        ckpt = replace(tiny_checkpoint(), vocab=vocab_from_texts(["alpha beta"]))
+        with pytest.raises(ValueError, match="vocab_size is"):
+            save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_valid_checkpoint_round_trips(self, tmp_path, dtype):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(tiny_checkpoint(dtype), path)
+        loaded = load_checkpoint(path)
+        for (_, a1), (_, a2) in zip(all_tensors(tiny_checkpoint(dtype)), all_tensors(loaded)):
+            assert a1.dtype == a2.dtype and np.array_equal(a1, a2)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    save_checkpoint(tiny_checkpoint(), path)
+    return path.read_bytes()
+
+
+@st.composite
+def mutated_checkpoints(draw, raw):
+    """A truncation, or one bit flipped in the header length, anywhere in
+    the JSON header, or inside its tensor index."""
+    n = int.from_bytes(raw[12:20], "little")
+    index_start = raw.index(b'"tensors":', 20)
+    region = draw(st.sampled_from(["truncate", "length", "json", "index"]))
+    if region == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    lo, hi = {"length": (12, 20), "json": (20, 20 + n), "index": (index_start, 20 + n)}[region]
+    pos = draw(st.integers(lo, hi - 1))
+    flipped = raw[pos] ^ (1 << draw(st.integers(0, 7)))
+    return raw[:pos] + bytes([flipped]) + raw[pos + 1 :]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mutated_checkpoint_loads_or_raises_value_error(tiny_checkpoint_bytes, tmp_path_factory, data):
+    """A damaged header or a cut file loads or raises ValueError, never
+    another exception.  Flips inside the tensor bytes are not covered: the
+    format has no checksum, so they load as other weights."""
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(data.draw(mutated_checkpoints(tiny_checkpoint_bytes)))
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
 
 
 class TestCrossValidate:
