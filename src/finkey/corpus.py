@@ -220,37 +220,38 @@ def load_corpus(
     report = ValidationReport(path=str(path))
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    # Read as bytes so that a line of invalid UTF-8 is one record error;
+    # bytes.splitlines breaks at \n, \r and \r\n, as text mode does.
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
             report.n_lines += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                report.errors.append(
-                    RecordError(lineno, None, f"malformed line: {exc}")
-                )
-                continue
-            if not isinstance(record, dict):
-                report.errors.append(
-                    RecordError(lineno, None, "record is not an object")
-                )
-                continue
-            try:
-                doc = _parse_record(record, schema)
-            except CorpusError as exc:
-                report.errors.append(
-                    RecordError(lineno, record.get("id"), str(exc))
-                )
-                continue
-            if doc.id in seen_ids:
-                report.errors.append(
-                    RecordError(lineno, doc.id, f"duplicate id {doc.id!r}")
-                )
-                continue
-            seen_ids.add(doc.id)
-            docs.append(doc)
+            report.errors.append(
+                RecordError(lineno, None, f"malformed line: invalid UTF-8 at byte {exc.start}")
+            )
+            continue
+        if not line.strip():
+            continue
+        report.n_lines += 1
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            report.errors.append(RecordError(lineno, None, f"malformed line: {exc}"))
+            continue
+        if not isinstance(record, dict):
+            report.errors.append(RecordError(lineno, None, "record is not an object"))
+            continue
+        try:
+            doc = _parse_record(record, schema)
+        except CorpusError as exc:
+            report.errors.append(RecordError(lineno, record.get("id"), str(exc)))
+            continue
+        if doc.id in seen_ids:
+            report.errors.append(RecordError(lineno, doc.id, f"duplicate id {doc.id!r}"))
+            continue
+        seen_ids.add(doc.id)
+        docs.append(doc)
     report.n_documents = len(docs)
     return docs, report
 

@@ -24,6 +24,14 @@ and everything else over the first two rows (``query_rows``); the [CLS]
 row comes out bit-identical to the full forward's.  ``forward`` encodes one
 TokenSequence.
 
+The forward allocates each intermediate once and updates it in place:
+bias adds, the score scale, an additive key mask built once per forward
+(-0.0 at real keys, -inf at padded ones), the softmax, the residuals, the
+layer norm (the arithmetic of ``mean`` and ``var`` spelled out) and GELU.
+Each step is the same floating-point operation as the allocating form, so
+the outputs are bit-identical to it; nothing recorded in a training cache
+is written after it is recorded.
+
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
 """
@@ -187,23 +195,29 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
 
 
 @lru_cache(maxsize=8)
-def _sinusoidal_table(max_len: int, d_model: int) -> np.ndarray:
+def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
+    """Fixed sin/cos position encodings, shape (max_len, d_model).
+
+    Computed in float64 and cast to ``dtype``; cached per arguments and
+    read-only, so a forward pass reads the table without copying it.
+    """
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     dim = np.arange(d_model, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (dim // 2) / d_model)
-    table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
+    table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
     table.setflags(write=False)
     return table
 
 
-def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.ndarray:
-    """Fixed sin/cos position encodings, shape (max_len, d_model)."""
-    return _sinusoidal_table(max_len, d_model).astype(dtype)
-
-
 def gelu(x: np.ndarray, return_cdf: bool = False):
-    """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse."""
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse.
+
+    ``x`` is an array and is left unchanged; Phi(x) is built in one buffer.
+    """
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     act = x * cdf
     return (act, cdf) if return_cdf else act
 
@@ -217,11 +231,27 @@ def gelu_grad(x: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * g + b, (xhat, inv)
+    """Layer norm over the last axis; returns (y, (xhat, inv)), x unchanged.
+
+    The same operations as ``x.mean`` and ``x.var`` (sum, divide by n,
+    subtract, square, sum, divide by n), without their Python overhead and
+    with one fresh buffer per result.  numpy divides its sums by an intp
+    count, in float64 for float32 data, and rounds the quotient to float32;
+    that is the correctly rounded float32 quotient, so ``/ n`` gives the
+    same bits.
+    """
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    inv = np.square(xhat).sum(axis=-1, keepdims=True)
+    inv /= n
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    y = xhat * g
+    y += b
+    return y, (xhat, inv)
+
 
 def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, aux):
     xhat, inv = aux
@@ -237,9 +267,12 @@ def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, aux):
 
 
 def _softmax_last(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place: overwrites ``x`` with
+    the probabilities and returns it."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -261,7 +294,9 @@ def _dropout_mask(config: EncoderConfig, batch: int, t: int, rng: np.random.Gene
     """
     dt = config.np_dtype
     keep = rng.random((batch, config.max_len, config.d_model))[:, :t] >= config.dropout_rate
-    return keep.astype(dt) / dt(1.0 - config.dropout_rate)
+    mask = keep.astype(dt)
+    mask /= dt(1.0 - config.dropout_rate)
+    return mask
 
 
 def forward_batch(
@@ -309,8 +344,8 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
 
-    x = params.embedding[ids].astype(dt, copy=True)
-    x += sinusoidal_positions(config.max_len, config.d_model, dt)[None, : ids.shape[1], :]
+    x = params.embedding[ids].astype(dt, copy=False)  # the gather made a copy
+    x += sinusoidal_positions(config.max_len, config.d_model, dt)[: ids.shape[1]]
 
     if cache is not None:
         cache["ids"] = ids
@@ -319,33 +354,48 @@ def forward_batch(
         cache["layers"] = []
 
     scale = 1.0 / math.sqrt(config.d_head)
+    # Added to every query's scores: -0.0 at real keys (x + -0.0 == x for
+    # every x), -inf at padded ones; skipped when every key is real.
+    key_bias = None
+    if not key_real.all():
+        key_bias = np.where(key_real, dt(-0.0), dt(-np.inf))[:, None, None, :]
     for lp in params.layers:
-        k = x @ lp.wk + lp.bk
-        v = x @ lp.wv + lp.bv
+        k = x @ lp.wk
+        k += lp.bk
+        v = x @ lp.wv
+        v += lp.bv
         if query_rows is not None and lp is params.layers[-1]:
             x = x[:, :query_rows]
-        q = x @ lp.wq + lp.bq
+        q = x @ lp.wq
+        q += lp.bq
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
         vh = _split_heads(v, config.n_heads)
-        scores = (qh @ kh.swapaxes(-1, -2)) * scale
-        scores = np.where(key_real[:, None, None, :], scores, dt(-np.inf))
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= scale
+        if key_bias is not None:
+            scores += key_bias
         probs = _softmax_last(scores)
         ctx = _merge_heads(probs @ vh)
-        attn = ctx @ lp.wo + lp.bo
+        attn = ctx @ lp.wo
+        attn += lp.bo
         drop1 = None
         if use_dropout:
             drop1 = _dropout_mask(config, *ids.shape, rng)
-            attn = attn * drop1
-        h1, ln1_aux = _layer_norm(x + attn, lp.ln1_g, lp.ln1_b)
-        ff_pre = h1 @ lp.w1 + lp.b1
+            attn *= drop1
+        attn += x
+        h1, ln1_aux = _layer_norm(attn, lp.ln1_g, lp.ln1_b)
+        ff_pre = h1 @ lp.w1
+        ff_pre += lp.b1
         act, cdf = gelu(ff_pre, return_cdf=True)
-        ff = act @ lp.w2 + lp.b2
+        ff = act @ lp.w2
+        ff += lp.b2
         drop2 = None
         if use_dropout:
             drop2 = _dropout_mask(config, *ids.shape, rng)
-            ff = ff * drop2
-        h2, ln2_aux = _layer_norm(h1 + ff, lp.ln2_g, lp.ln2_b)
+            ff *= drop2
+        ff += h1
+        h2, ln2_aux = _layer_norm(ff, lp.ln2_g, lp.ln2_b)
         if cache is not None:
             cache["layers"].append(
                 {

@@ -251,7 +251,8 @@ def select_span(
     )
     if not allowed.any():
         raise ValueError("no valid span positions")
-    grid = np.where(allowed, s[:, None] + e[None, :], -np.inf)
+    grid = s[:, None] + e[None, :]
+    grid[~allowed] = -np.inf
     flat = int(np.argmax(grid))
     return flat // n, flat % n
 

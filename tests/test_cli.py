@@ -136,6 +136,7 @@ BAD_INPUTS = {
     "checkpoint_missing_tensor": (2, "tensor index differs"),
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
     "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
+    "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
 }
 
 
@@ -171,6 +172,11 @@ def bad_input_argv(tmp_path, case):
     if case == "malformed_vocab":
         (tmp_path / "vocab.tsv").write_text("[PAD]\tzero\n", encoding="utf-8")
         path, _ = write_config(tmp_path, paths={**paths, "vocab": str(tmp_path / "vocab.tsv")})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    if case == "corpus_invalid_utf8":
+        raw = (tmp_path / "corpus.jsonl").read_bytes()
+        (tmp_path / "bad.jsonl").write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
+        path, _ = write_config(tmp_path, paths={**paths, "corpus": str(tmp_path / "bad.jsonl")})
         return ["train", "--task", "sentiment", "--config", str(path)]
     if case == "beta2_one":
         _, cfg = write_config(tmp_path)

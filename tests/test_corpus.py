@@ -270,3 +270,99 @@ class TestLoadCorpus:
         docs2, report2 = load_corpus(out, "dataset-1")
         assert report2.ok
         assert docs2 == docs
+
+    def test_invalid_utf8_line_is_a_record_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = [json.dumps({"id": i, "text": "t"}).encode() for i in "ab"]
+        path.write_bytes(good[0] + b"\n" + b'{"id": "x", "text": "\xff"}\n' + good[1] + b"\n")
+        docs, report = load_corpus(path, "dataset-1")
+        assert [d.id for d in docs] == ["a", "b"]
+        (err,) = report.errors
+        assert err.line == 2
+        assert err.message.startswith("malformed line: invalid UTF-8")
+
+    def test_json_the_decoder_refuses_is_a_record_error(self, tmp_path):
+        lines = ["[" * 100_000, '{"id": ' + "1" * 5_000 + "}", json.dumps({"id": "a", "text": "t"})]
+        docs, report = load_corpus(self.write(tmp_path, lines), "dataset-1")
+        assert [d.id for d in docs] == ["a"]
+        assert [e.line for e in report.errors] == [1, 2]
+        assert all(e.message.startswith("malformed line") for e in report.errors)
+
+    def test_line_breaks_as_in_text_mode(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"id": i, "text": "t"}).encode() for i in "abc"]
+        path.write_bytes(lines[0] + b"\r\n" + lines[1] + b"\r\r" + lines[2])
+        docs, report = load_corpus(path, "dataset-1")
+        assert [d.id for d in docs] == ["a", "b", "c"] and report.ok
+
+
+# A valid file per schema; the fuzz tests below break it in several ways.
+VALID_RECORDS = {
+    "dataset-1": [
+        {"id": "a", "text": "bank A failed", "sentiment": "negative",
+         "entity_list": ["A", "B"], "key_entities": ["A"]},
+        {"id": "b", "text": "公司 B 盈利", "sentiment": "positive", "entity_list": ["B"]},
+    ],
+    "dataset-2": [
+        {"id": "c", "text": "C fraud probe", "tag": "fraud", "key_entities": ["C"]},
+        {"id": "d", "text": "D default", "tag": "违约", "entity_list": ["D"], "key_entities": ["D"]},
+    ],
+}
+FIELDS = ("id", "text", "sentiment", "entity_list", "key_entities", "tag")
+WRONG_VALUES = (None, 0, -1.5, True, "", "x", [], [1], ["a", None], {}, {"k": "v"})
+
+
+def valid_bytes(schema: str) -> bytes:
+    return "".join(
+        json.dumps(r, ensure_ascii=False) + "\n" for r in VALID_RECORDS[schema]
+    ).encode("utf-8")
+
+
+def load_or_corpus_error(path, data: bytes, schema: str):
+    """Load ``data``; the only exception allowed is CorpusError."""
+    path.write_bytes(data)
+    try:
+        docs, report = load_corpus(path, schema)
+    except CorpusError:
+        return
+    assert report.n_documents == len(docs)
+    assert all(isinstance(e.line, int) and e.message for e in report.errors)
+    json.dumps(report.to_dict())
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+
+
+class TestLoadCorpusFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(VALID_RECORDS)), st.data())
+    def test_truncations(self, fuzz_path, schema, data):
+        raw = valid_bytes(schema)
+        cut = data.draw(st.integers(0, len(raw)))
+        load_or_corpus_error(fuzz_path, raw[:cut], schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(VALID_RECORDS)), st.data())
+    def test_byte_flips(self, fuzz_path, schema, data):
+        raw = bytearray(valid_bytes(schema))
+        flips = data.draw(
+            st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=4)
+        )
+        for pos, bits in flips:
+            raw[pos] ^= bits
+        load_or_corpus_error(fuzz_path, bytes(raw), schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(VALID_RECORDS)),
+        st.integers(0, 1),
+        st.sampled_from(FIELDS),
+        st.sampled_from(WRONG_VALUES),
+    )
+    def test_wrong_json_types(self, fuzz_path, schema, index, field, value):
+        records = [dict(r) for r in VALID_RECORDS[schema]]
+        records[index][field] = value
+        data = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        load_or_corpus_error(fuzz_path, data.encode("utf-8"), schema)

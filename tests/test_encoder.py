@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from finkey.encoder import (
     EncoderConfig,
@@ -19,6 +21,7 @@ from finkey.encoder import (
     sinusoidal_positions,
     weight_grad,
 )
+from finkey.encoder import _LN_EPS, _layer_norm, _softmax_last
 from finkey.tokenizer import encode_pair, encode_single, vocab_from_texts
 
 
@@ -389,6 +392,164 @@ class TestGelu:
         assert gelu(np.array([0.0]))[0] == 0.0
         np.testing.assert_allclose(gelu(np.array([100.0]))[0], 100.0)
 
+    def test_input_unchanged(self):
+        x = np.linspace(-4, 4, 50, dtype=np.float32)
+        before = x.copy()
+        gelu(x, return_cdf=True)
+        assert x.tobytes() == before.tobytes()
+
+
+# The kernels as written before they worked in place, kept verbatim as the
+# reference the in-place ones must match bit for bit.
+def reference_layer_norm(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = (x - mu) * inv
+    return xhat * g + b, (xhat, inv)
+
+
+def reference_softmax_last(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_gelu(x):
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    act = x * cdf
+    return act, cdf
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def kernel_inputs(draw, max_side=5):
+    """Arrays of float32 or float64 with last axis 1-64; signed zeros,
+    magnitudes near overflow and ordinary values."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    lead = draw(st.lists(st.integers(1, max_side), min_size=0, max_size=2))
+    shape = (*lead, draw(st.integers(1, 64)))
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e4, 1e4, width=width),
+        st.floats(allow_nan=False, allow_infinity=False, width=width),
+    )
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+class TestInPlaceKernels:
+    """The in-place layer norm, softmax and GELU give the old bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(), st.data())
+    def test_layer_norm(self, x, data):
+        d = x.shape[-1]
+        g = data.draw(hnp.arrays(x.dtype, d, elements=st.floats(-3, 3, width=x.dtype.itemsize * 8)))
+        b = data.draw(hnp.arrays(x.dtype, d, elements=st.floats(-3, 3, width=x.dtype.itemsize * 8)))
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            y, (xhat, inv) = _layer_norm(x, g, b)
+            ref_y, (ref_xhat, ref_inv) = reference_layer_norm(x, g, b)
+        assert same_bits(y, ref_y)
+        assert same_bits(xhat, ref_xhat)
+        assert same_bits(inv, ref_inv)
+        assert same_bits(x, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(), st.data())
+    def test_softmax_last(self, x, data):
+        # Mask every key but the first ([CLS]) of some rows to -inf.
+        masked = data.draw(hnp.arrays(bool, x.shape))
+        masked[..., 0] = False
+        x = np.where(masked, x.dtype.type(-np.inf), x)
+        with np.errstate(all="ignore"):
+            ref = reference_softmax_last(x)
+            out = _softmax_last(x)
+        assert out is x
+        assert same_bits(out, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs())
+    def test_gelu(self, x):
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            act, cdf = gelu(x, return_cdf=True)
+            ref_act, ref_cdf = reference_gelu(x)
+        assert same_bits(act, ref_act)
+        assert same_bits(cdf, ref_cdf)
+        assert same_bits(x, before)
+
+
+class RecordingCache(dict):
+    """An activation cache that copies each array as forward_batch records it."""
+
+    def __init__(self):
+        super().__init__()
+        self.recorded = []  # (name, array as recorded, copy taken then)
+
+    def record(self, name, value):
+        if isinstance(value, np.ndarray):
+            self.recorded.append((name, value, value.copy()))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                self.record(f"{name}[{i}]", item)
+
+    def __setitem__(self, key, value):
+        if isinstance(value, list):
+            value = RecordingLayers(self, value)
+        else:
+            self.record(key, value)
+        super().__setitem__(key, value)
+
+
+class RecordingLayers(list):
+    def __init__(self, cache, items):
+        super().__init__(items)
+        self.cache = cache
+
+    def append(self, layer):
+        for name, value in layer.items():
+            self.cache.record(f"layers.{len(self)}.{name}", value)
+        super().append(layer)
+
+
+class TestForwardLeavesArraysAlone:
+    """forward_batch works in place on its own temporaries only."""
+
+    def setup_inputs(self, vocab, dtype):
+        cfg = tiny_config(vocab, dropout_rate=0.1, dtype=dtype)
+        params = init_params(cfg, 4)
+        rng = np.random.default_rng(5)
+        for _, arr in params.named():
+            if arr.ndim == 1:
+                arr += rng.normal(0, 0.3, arr.shape).astype(arr.dtype)
+        ids = rng.integers(0, vocab.size, (3, 16))
+        mask = (np.arange(16)[None, :] < np.array([[16], [9], [3]])).astype(np.int64)
+        return cfg, params, ids, mask
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["inference", "pooled", "training"])
+    def test_inputs_parameters_and_cache_unchanged(self, vocab, dtype, mode):
+        cfg, params, ids, mask = self.setup_inputs(vocab, dtype)
+        before = [a.copy() for a in (ids, mask, *(t for _, t in params.named()))]
+        cache = RecordingCache() if mode == "training" else None
+        forward_batch(
+            params, cfg, ids, mask,
+            training=mode == "training", rng=np.random.default_rng(6), cache=cache,
+            query_rows=2 if mode == "pooled" else None,
+        )
+        after = [ids, mask, *(t for _, t in params.named())]
+        assert all(same_bits(a, b) for a, b in zip(after, before))
+        if cache is not None:
+            names = {name for name, _, _ in cache.recorded}
+            assert {"x0", "layers.1.probs", "layers.1.ln2_aux[0]", "layers.1.drop2"} <= names
+            changed = [name for name, arr, copy in cache.recorded if not same_bits(arr, copy)]
+            assert changed == []
+
 
 class TestPositions:
     def test_shape_and_range(self):
@@ -400,6 +561,13 @@ class TestPositions:
         small = sinusoidal_positions(8, 8, np.float64)
         big = sinusoidal_positions(16, 8, np.float64)
         np.testing.assert_array_equal(small, big[:8])
+
+    def test_cached_per_dtype_and_read_only(self):
+        table = sinusoidal_positions(12, 8, np.float32)
+        assert table is sinusoidal_positions(12, 8, np.float32)
+        assert table.dtype == np.float32 and not table.flags.writeable
+        wide = sinusoidal_positions(12, 8, np.float64)
+        assert same_bits(table, wide.astype(np.float32))
 
 
 class TestBowEncode:

@@ -223,6 +223,30 @@ def bruteforce_span(s, e, valid, max_span_len):
     return best
 
 
+def where_span(s, e, valid, max_span_len):
+    """Reference: select_span with its grid built by np.where over a fresh sum."""
+    n = s.shape[0]
+    i_idx = np.arange(n)[:, None]
+    j_idx = np.arange(n)[None, :]
+    allowed = (
+        valid[:, None]
+        & valid[None, :]
+        & (j_idx >= i_idx)
+        & (j_idx - i_idx < max_span_len)
+    )
+    grid = np.where(allowed, s[:, None] + e[None, :], -np.inf)
+    flat = int(np.argmax(grid))
+    return flat // n, flat % n
+
+
+# Few distinct values, so sums tie often; signed zeros, infinities and
+# magnitudes near overflow besides.
+SPAN_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308]),
+    st.floats(allow_nan=False),
+)
+
+
 class TestSelectSpan:
     def test_matches_bruteforce_on_random_tensors(self):
         rng = np.random.default_rng(7)
@@ -255,6 +279,26 @@ class TestSelectSpan:
     def test_no_valid_positions(self):
         with pytest.raises(ValueError):
             select_span(np.zeros(4), np.zeros(4), np.zeros(4, dtype=bool), 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(SPAN_SCORES, min_size=n, max_size=n),
+                st.lists(SPAN_SCORES, min_size=n, max_size=n),
+                st.lists(st.booleans(), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(1, 8),
+    )
+    def test_equals_where_over_fresh_sum(self, scores, max_span_len):
+        """The grid filled in place picks what np.where over a fresh sum
+        picked, ties and signed zeros included."""
+        s, e, valid = (np.array(v) for v in scores)
+        if not valid.any():
+            valid[0] = True
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert select_span(s, e, valid, max_span_len) == where_span(s, e, valid, max_span_len)
 
 
 class TestSpanLoss:

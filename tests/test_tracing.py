@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` skips a name it cannot find, so a renamed or
 removed function would make its layer read 0 instead of failing.  These
 tests run a tiny training call and a tiny pipeline call under the tracer
-and check that every layer recorded spans, and that the encoder spans
-carry the facts the per-layer metrics are computed from.
+and check that every layer recorded spans, GELU included (it is timed
+only while ``forward_batch`` calls it by its module-level name), and that
+the encoder spans carry the facts the per-layer metrics are computed from.
 """
 
 import sys
@@ -46,7 +47,9 @@ def test_tracer_sees_every_training_layer():
     spans: dict[str, list[float]] = {}
     for label, start, end, *_ in tracer.spans:
         spans.setdefault(label, []).append(end - start)
-    for label in ("encoder.forward", "encoder.backward", "training.clip", "training.adam"):
+    layers = ("encoder.forward", "encoder.gelu", "encoder.backward", "encoder.gelu_grad",
+              "training.clip", "training.adam")
+    for label in layers:
         assert spans.get(label), f"no {label} spans"
         assert all(d >= 0 for d in spans[label])
     # Two optimiser steps: one clip, one Adam step and one backward pass each.
@@ -77,6 +80,9 @@ def test_tracer_sees_pipeline_encoder_facts():
         tracer.uninstall()
 
     assert all(d.error is None for d in result.documents)
+    # GELU is timed through its module-level name; forward_batch must call it.
+    gelus = [span for span in tracer.spans if span[0] == "encoder.gelu"]
+    assert gelus and all(tracer.spans[span[3]][0] == "encoder.forward" for span in gelus)
     forwards = [facts for label, _, _, _, facts, _ in tracer.spans if label == "encoder.forward"]
     assert forwards
     for facts in forwards:
