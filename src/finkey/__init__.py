@@ -41,7 +41,6 @@ from .tasks import (  # noqa: E402,F401
     FocalConfig,
     accuracy,
     build_question,
-    cross_entropy,
     detect_key_entities,
     entity_prf,
     extract_span,

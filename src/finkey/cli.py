@@ -71,15 +71,29 @@ def _load_config(path: str | None) -> dict | None:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    _check(isinstance(cfg, dict), "config file", cfg, "a JSON object")
+    return cfg
 
 
 def _require_config(cfg: dict | None) -> dict:
     if cfg is None:
         raise ConfigError("this command requires --config")
     return cfg
+
+
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name, {})
+    _check(isinstance(section, dict), f"{name} section", section, "a JSON object")
+    return section
+
+
+def _check(ok: bool, setting: str, value, expected: str) -> None:
+    """A configuration error naming ``setting`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"bad {setting}: expected {expected}, got {value!r}")
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -106,7 +120,7 @@ _TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__) - {"task", "focal"}
 
 
 def _train_config(cfg: dict, task: str, seed_override: int | None) -> TrainConfig:
-    section = cfg.get(task, {})
+    section = _section(cfg, task)
     kwargs = {k: v for k, v in section.items() if k in _TRAIN_FIELDS}
     if seed_override is not None:
         kwargs["seed"] = seed_override
@@ -131,8 +145,8 @@ def _encoder_config(cfg: dict) -> EncoderConfig | None:
 
 
 def _task_corpus(cfg: dict, task: str) -> tuple[str, str]:
-    section = cfg.get(task, {})
-    paths = cfg.get("paths", {})
+    section = _section(cfg, task)
+    paths = _section(cfg, "paths")
     corpus = section.get("corpus", paths.get("corpus"))
     schema = section.get("schema", paths.get("schema"))
     if corpus is None or schema is None:
@@ -144,12 +158,24 @@ def _task_corpus(cfg: dict, task: str) -> tuple[str, str]:
     return corpus, schema
 
 
-def _mrc_settings(cfg: dict) -> tuple[str, int]:
-    section = cfg.get("mrc", {})
-    return (
-        section.get("template", DEFAULT_TEMPLATE),
-        section.get("max_span_len", DEFAULT_MAX_SPAN_LEN),
-    )
+def _mrc_settings(cfg: dict) -> dict:
+    """The checked template and max_span_len of the mrc section, by name."""
+    section = _section(cfg, "mrc")
+    template = section.get("template", DEFAULT_TEMPLATE)
+    max_span_len = section.get("max_span_len", DEFAULT_MAX_SPAN_LEN)
+    _check(isinstance(template, str) and template.count("{tag}") == 1,
+           "mrc.template", template, "a string with exactly one {tag}")
+    _check(type(max_span_len) is int and max_span_len >= 1,
+           "mrc.max_span_len", max_span_len, "an integer >= 1")
+    return {"template": template, "max_span_len": max_span_len}
+
+
+def _train_kwargs(cfg: dict, task: str) -> dict:
+    """train's settings from the config besides the TrainConfig."""
+    kwargs = dict(encoder=_encoder_config(cfg), vocab=_explicit_vocab(cfg))
+    if task == "mrc":
+        kwargs["max_span_len"] = _mrc_settings(cfg)["max_span_len"]
+    return kwargs
 
 
 def _load_docs_strict(corpus_path: str, schema: str) -> list[Document]:
@@ -186,8 +212,7 @@ def _task_dataset(cfg: dict, task: str):
         if skipped:
             logger.warning("skipped %d documents without entity lists", skipped)
         return pairs
-    template, _ = _mrc_settings(cfg)
-    examples, dropped = build_mrc_dataset(docs, template)
+    examples, dropped = build_mrc_dataset(docs, _mrc_settings(cfg)["template"])
     labeled = [e for e in examples if e.answer is not None]
     if not labeled:
         raise CorpusError("corpus yields no answerable extraction examples")
@@ -208,7 +233,8 @@ def _document_folds(dataset, k: int, seed: int, setting: str):
 def _holdout_split(dataset, cfg: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
-    k = cfg.get(task, {}).get("dev_split_k", 10)
+    k = _section(cfg, task).get("dev_split_k", 10)
+    _check(type(k) is int, f"{task}.dev_split_k", k, "an integer")
     split = _document_folds(dataset, k, seed, f"{task}.dev_split_k")
     dev_idx = set(split.folds[0])
     train_set = [dataset[i] for i in range(len(dataset)) if i not in dev_idx]
@@ -217,7 +243,7 @@ def _holdout_split(dataset, cfg: dict, task: str, seed: int):
 
 
 def _checkpoint_dir(cfg: dict) -> Path:
-    path = Path(cfg.get("paths", {}).get("checkpoints", "checkpoints"))
+    path = Path(_section(cfg, "paths").get("checkpoints", "checkpoints"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -230,7 +256,7 @@ def _explicit_vocab(cfg: dict) -> Vocab | None:
     Without this setting each training run builds its vocabulary from its
     own training split.
     """
-    path = cfg.get("paths", {}).get("vocab")
+    path = _section(cfg, "paths").get("vocab")
     if path is None:
         return None
     if not Path(path).exists():
@@ -274,11 +300,7 @@ def cmd_train(args) -> int:
     tc = _train_config(cfg, args.task, args.seed)
     dataset = _task_dataset(cfg, args.task)
     train_set, dev_set = _holdout_split(dataset, cfg, args.task, tc.seed)
-    _, max_span_len = _mrc_settings(cfg)
-    result = train(
-        train_set, dev_set, tc, encoder=_encoder_config(cfg),
-        vocab=_explicit_vocab(cfg), max_span_len=max_span_len,
-    )
+    result = train(train_set, dev_set, tc, **_train_kwargs(cfg, args.task))
     ckpt_path = _checkpoint_dir(cfg) / f"{args.task}-seed{tc.seed}.ckpt"
     save_checkpoint(result.checkpoint, ckpt_path)
     report = {
@@ -305,11 +327,7 @@ def cmd_crossval(args) -> int:
     tc = _train_config(cfg, args.task, args.seed)
     dataset = _task_dataset(cfg, args.task)
     _document_folds(dataset, args.k, tc.seed, "--k")
-    _, max_span_len = _mrc_settings(cfg)
-    result = cross_validate(
-        dataset, tc, args.k, encoder=_encoder_config(cfg),
-        vocab=_explicit_vocab(cfg), max_span_len=max_span_len,
-    )
+    result = cross_validate(dataset, tc, args.k, **_train_kwargs(cfg, args.task))
     report = {
         "task": args.task,
         "k": args.k,
@@ -328,22 +346,18 @@ def cmd_crossval(args) -> int:
 def cmd_ensemble(args) -> int:
     cfg = _require_config(_load_config(args.config))
     tc = _train_config(cfg, args.task, args.seed)
-    section = cfg.get("ensemble", {})
+    section = _section(cfg, "ensemble")
+    seeds, top_m = section.get("seeds", list(range(1, 13))), section.get("top_m", 10)
+    _check(isinstance(seeds, list) and all(type(s) is int for s in seeds),
+           "ensemble.seeds", seeds, "a list of integers")
+    _check(type(top_m) is int, "ensemble.top_m", top_m, "an integer")
     try:
-        spec = EnsembleSpec(
-            seeds=tuple(section.get("seeds", range(1, 13))),
-            top_m=section.get("top_m", 10),
-        )
+        spec = EnsembleSpec(seeds=tuple(seeds), top_m=top_m)
     except ValueError as exc:
         raise ConfigError(f"bad ensemble section: {exc}") from None
     dataset = _task_dataset(cfg, args.task)
     train_set, dev_set = _holdout_split(dataset, cfg, args.task, tc.seed)
-    _, max_span_len = _mrc_settings(cfg)
-    members = ensemble_train_select(
-        train_set, dev_set, tc, spec,
-        encoder=_encoder_config(cfg), vocab=_explicit_vocab(cfg),
-        max_span_len=max_span_len,
-    )
+    members = ensemble_train_select(train_set, dev_set, tc, spec, **_train_kwargs(cfg, args.task))
     ckpt_dir = _checkpoint_dir(cfg)
     paths = []
     for member in members:
@@ -385,11 +399,15 @@ def _load_checkpoints(paths, expected_kind: str) -> list[Checkpoint]:
 
 def cmd_pipeline(args) -> int:
     cfg = _require_config(_load_config(args.config))
-    section = cfg.get("pipeline", {})
+    section = _section(cfg, "pipeline")
     mode = section.get("mode", "coarse")
     if mode not in ("coarse", "fine"):
         raise ConfigError("pipeline.mode must be 'coarse' or 'fine'")
-    schema = section.get("schema", cfg.get("paths", {}).get("schema"))
+    threshold = section.get("match_threshold", 0.5)
+    _check(type(threshold) in (int, float) and 0 <= threshold <= 1,
+           "pipeline.match_threshold", threshold, "a number in [0, 1]")
+    fine = _mrc_settings(cfg) if mode == "fine" else {}
+    schema = section.get("schema", _section(cfg, "paths").get("schema"))
     if schema is None:
         schema = "dataset-1" if mode == "coarse" else "dataset-2"
     docs = _load_docs_strict(args.input, schema)
@@ -416,20 +434,21 @@ def cmd_pipeline(args) -> int:
     lexicon = None
     lexicon_path = section.get("lexicon")
     if lexicon_path is not None:
-        entries = Path(lexicon_path).read_text(encoding="utf-8").splitlines()
+        try:
+            entries = Path(lexicon_path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"bad pipeline.lexicon {lexicon_path}: {exc}") from None
         lexicon = Lexicon.from_strings(entries)
 
-    template, max_span_len = _mrc_settings(cfg)
     result = run_pipeline(
         docs,
         sentiment_members,
         mode=mode,
         matcher_members=matcher_members,
         mrc_checkpoint=mrc_checkpoint,
-        match_threshold=section.get("match_threshold", 0.5),
-        template=template,
+        match_threshold=threshold,
         lexicon=lexicon,
-        max_span_len=max_span_len,
+        **fine,
     )
 
     out = Path(args.output)
@@ -538,16 +557,11 @@ def cmd_evaluate(args) -> int:
 def cmd_search(args) -> int:
     cfg = _require_config(_load_config(args.config))
     tc = _train_config(cfg, args.task, args.seed)
-    deltas = cfg.get("search", {}).get("deltas", {})
+    deltas = _section(cfg, "search").get("deltas", {})
     dataset = _task_dataset(cfg, args.task)
     _document_folds(dataset, args.k, tc.seed, "--k")
-    _, max_span_len = _mrc_settings(cfg)
     try:
-        result = neighborhood_search(
-            tc, deltas, dataset, args.k,
-            encoder=_encoder_config(cfg), vocab=_explicit_vocab(cfg),
-            max_span_len=max_span_len,
-        )
+        result = neighborhood_search(tc, deltas, dataset, args.k, **_train_kwargs(cfg, args.task))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = {

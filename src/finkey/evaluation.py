@@ -19,7 +19,6 @@ from .tasks import (
     SpanTask,
     Task,
     build_question,
-    entity_score,
 )
 from .training import Checkpoint, EncoderConfig, TrainConfig, train
 
@@ -86,27 +85,25 @@ def vote_sentiment(members: Sequence[SentimentPrediction]) -> SentimentPredictio
 
 
 def vote_key_entities(
-    member_scores: Sequence[Sequence], score_threshold: float
+    member_scores: Sequence[Sequence[tuple[str, float]]], score_threshold: float
 ) -> list[str]:
     """Entities marked key by a strict majority of ensemble members.
 
-    Each member contributes one scored pass over the same entity list; an
-    entity is kept when more than half of the members score it at or above
-    the threshold.  Output preserves the entity-list order.
+    Each member contributes (entity, score) pairs over the same entity
+    list; an entity is kept when more than half of the members score it at
+    or above the threshold.  Output preserves the entity-list order.
     """
     if not 0.0 <= score_threshold <= 1.0:
         raise ValueError("score_threshold must lie in [0, 1]")
     if not member_scores:
         raise ValueError("need at least one ensemble member")
-    normalized = [[entity_score(it) for it in member] for member in member_scores]
-    entity_lists = [[e for e, _ in member] for member in normalized]
+    entity_lists = [[e for e, _ in member] for member in member_scores]
     if any(el != entity_lists[0] for el in entity_lists[1:]):
         raise ValueError("ensemble members scored different entity lists")
-    n_members = len(normalized)
     kept = []
     for i, entity in enumerate(entity_lists[0]):
-        votes = sum(member[i][1] >= score_threshold for member in normalized)
-        if 2 * votes > n_members:
+        votes = sum(member[i][1] >= score_threshold for member in member_scores)
+        if 2 * votes > len(member_scores):
             kept.append(entity)
     return kept
 

@@ -111,30 +111,10 @@ class SentimentPrediction:
 
 
 @dataclass(frozen=True)
-class MatchPrediction:
-    entity: str
-    score: float
-    is_key: bool
-
-
-@dataclass(frozen=True)
 class SpanPrediction:
     start_token: int
     end_token: int  # inclusive
     text: str
-
-
-def cross_entropy(logits: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Negative log softmax at the gold index, plus the logit gradient."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= gold < logits.shape[-1]:
-        raise ValueError("gold index out of range")
-    z = logits - logits.max()
-    lse = np.log(np.exp(z).sum())
-    loss = lse - z[gold]
-    grad = np.exp(z - lse)
-    grad[gold] -= 1.0
-    return float(loss), grad
 
 
 def _alpha_t(cfg: FocalConfig, y: int) -> float:
@@ -194,26 +174,12 @@ def focal_loss_from_logits(
     return loss, dz
 
 
-def entity_score(item) -> tuple[str, float]:
-    """Normalize a MatchPrediction or an (entity, score) pair."""
-    if isinstance(item, MatchPrediction):
-        return item.entity, item.score
-    entity, score = item
-    return entity, score
-
-
-def detect_key_entities(scored: Sequence, threshold: float) -> list[str]:
-    """Entities whose score reaches the threshold, in input order.
-
-    ``scored`` holds MatchPrediction objects or (entity, score) pairs.
-    """
+def detect_key_entities(scored: Sequence[tuple[str, float]], threshold: float) -> list[str]:
+    """Entities of (entity, score) pairs whose score reaches the threshold,
+    in input order."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    return [
-        entity
-        for entity, score in (entity_score(item) for item in scored)
-        if score >= threshold
-    ]
+    return [entity for entity, score in scored if score >= threshold]
 
 
 def build_question(tag: str, template: str = DEFAULT_TEMPLATE) -> str:
@@ -235,8 +201,6 @@ def select_span(
     max_span_len tokens.  Ties resolve to the smallest start, then the
     smallest end (row-major argmax order).
     """
-    if max_span_len < 1:
-        raise ValueError("max_span_len must be >= 1")
     s = np.asarray(start_scores, dtype=np.float64)
     e = np.asarray(end_scores, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -266,36 +230,6 @@ def _context_positions(seq) -> np.ndarray:
         ],
         dtype=bool,
     )
-
-
-def span_loss(
-    start_scores: np.ndarray,
-    end_scores: np.ndarray,
-    valid: np.ndarray,
-    gold_start: int,
-    gold_end: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean start/end cross-entropy over the valid context positions.
-
-    Softmax normalization runs over valid positions only; gradients at
-    invalid positions are zero.  Returns (loss, d_start, d_end).
-    """
-    valid = np.asarray(valid, dtype=bool)
-    idx = np.nonzero(valid)[0]
-    if idx.size == 0:
-        raise ValueError("no valid positions for span loss")
-    if not (valid[gold_start] and valid[gold_end]):
-        raise ValueError("gold span outside the valid context positions")
-    pos_of = {int(p): k for k, p in enumerate(idx)}
-    losses = []
-    grads = []
-    for scores, gold in ((start_scores, gold_start), (end_scores, gold_end)):
-        loss, g_local = cross_entropy(np.asarray(scores)[idx], pos_of[gold])
-        g = np.zeros(len(scores), dtype=np.float64)
-        g[idx] = 0.5 * g_local
-        losses.append(loss)
-        grads.append(g)
-    return 0.5 * (losses[0] + losses[1]), grads[0], grads[1]
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +359,6 @@ class Task:
     head_kind: ClassVar[str]
     head_cls: ClassVar[type]
     pooled: ClassVar[bool]
-    focal: FocalConfig = FocalConfig(gamma=0.0)  # match loss; gamma 0 is cross-entropy
-    threshold: float = 0.5  # match dev metric
-    max_span_len: int = DEFAULT_MAX_SPAN_LEN  # span prediction
 
     def segments(self, item) -> tuple[str, ...]:
         """The one or two texts an input is encoded from."""
@@ -485,6 +416,7 @@ class SentimentTask(Task):
         return NEGATIVE_INDEX if doc.sentiment is SentimentLabel.NEGATIVE else POSITIVE_INDEX
 
     def loss_and_grad(self, head, hidden, batch):
+        """Mean softmax cross-entropy of the [CLS] logits."""
         pooled = hidden[:, 0, :]
         logits = pooled @ head.w + head.b
         logp = _log_softmax(logits)
@@ -528,6 +460,8 @@ class MatchTask(Task):
     head_kind = "match"
     head_cls = MatchHead
     pooled = True
+    focal: FocalConfig = FocalConfig(gamma=0.0)  # gamma 0 is binary cross-entropy
+    threshold: float = 0.5  # dev metric decision threshold
 
     def segments(self, ex: PairExample):
         return (ex.entity, ex.text)
@@ -536,6 +470,7 @@ class MatchTask(Task):
         return ex.label
 
     def loss_and_grad(self, head, hidden, batch):
+        """Mean focal loss of the [CLS] logit."""
         pooled = hidden[:, 0, :]
         z = pooled @ head.w + head.b[0]
         losses, dz = focal_loss_from_logits(z, batch.gold, self.focal)
@@ -584,6 +519,11 @@ class SpanTask(Task):
     head_kind = "span"
     head_cls = SpanHead
     pooled = False
+    max_span_len: int = DEFAULT_MAX_SPAN_LEN
+
+    def __post_init__(self):
+        if self.max_span_len < 1:
+            raise ValueError("max_span_len must be >= 1")
 
     def segments(self, ex: MrcExample):
         return (ex.question, ex.context)
@@ -606,6 +546,8 @@ class SpanTask(Task):
         return data
 
     def loss_and_grad(self, head, hidden, batch):
+        """Mean of the start and end cross-entropies, each softmax taken over
+        the row's valid context positions only."""
         n = hidden.shape[0]
         rows = np.arange(n)
         d_hidden = np.zeros_like(hidden)

@@ -450,8 +450,6 @@ def train(
     cfg: TrainConfig,
     encoder: Optional[EncoderConfig] = None,
     vocab: Optional[Vocab] = None,
-    vocab_min_freq: int = 1,
-    vocab_max_size: int = 50000,
     max_span_len: int = 16,
 ) -> TrainResult:
     """Train one model; returns the best-dev-epoch checkpoint plus history.
@@ -459,18 +457,16 @@ def train(
     ``encoder`` acts as an architecture template: its vocab_size and max_len
     are replaced by the built vocabulary size and cfg.max_len.  When
     ``vocab`` is omitted it is built from the training split only.
+    ``max_span_len`` bounds the spans the mrc dev metric scores.
     """
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be non-empty")
-    task = TASKS[cfg.task](
-        focal=cfg.focal_config(), threshold=cfg.threshold, max_span_len=max_span_len
-    )
+    task = TASKS[cfg.task](**{
+        "match": dict(focal=cfg.focal_config(), threshold=cfg.threshold),
+        "mrc": dict(max_span_len=max_span_len),
+    }.get(cfg.task, {}))
     if vocab is None:
-        vocab = vocab_from_texts(
-            (text for item in train_set for text in task.segments(item)),
-            min_freq=vocab_min_freq,
-            max_size=vocab_max_size,
-        )
+        vocab = vocab_from_texts(text for item in train_set for text in task.segments(item))
     if encoder is None:
         encoder = EncoderConfig(vocab_size=vocab.size, max_len=cfg.max_len)
     enc_cfg = replace(encoder, vocab_size=vocab.size, max_len=cfg.max_len)

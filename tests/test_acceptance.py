@@ -38,19 +38,20 @@ from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import (
     DEFAULT_TEMPLATE,
     TASKS,
+    Encoded,
     FocalConfig,
+    MatchTask,
     SentimentPrediction,
+    SentimentTask,
+    SpanTask,
     build_question,
     classical_fit,
     classical_predict,
-    cross_entropy,
     detect_key_entities,
     entity_prf,
     focal_loss,
-    focal_loss_from_logits,
     init_head,
     select_span,
-    span_loss,
 )
 from finkey.tokenizer import encode_pair, encode_single, vocab_from_texts
 from finkey.training import (
@@ -226,13 +227,6 @@ def _cached_forward(params, enc, seq):
     return forward_batch(params, enc, ids, mask, cache=cache)[0], cache
 
 
-def _cls_upstream(enc, d_pooled):
-    """An upstream gradient on the sentence vector, as one on the hidden states."""
-    d_hidden = np.zeros((1, enc.max_len, enc.d_model))
-    d_hidden[0, 0] = d_pooled
-    return d_hidden
-
-
 def _grad_check_setup():
     vocab = vocab_from_texts(["alpha beta gamma loss gain", "one two three four"])
     enc = EncoderConfig(
@@ -262,76 +256,35 @@ def test_criterion_2_gradient_correctness():
             encoder_loss,
         )
 
-        # sentiment head + cross-entropy, end to end
-        head = init_head("sentiment", enc.d_model, np.random.default_rng(3), np.float64)
-
-        def sentiment_loss():
-            pooled = forward(params, enc, seq).sentence_vec
-            return cross_entropy(pooled @ head.w + head.b, 0)[0]
-
-        hidden, cache = _cached_forward(params, enc, seq)
-        pooled = hidden[0]
-        loss, dlogits = cross_entropy(pooled @ head.w + head.b, 0)
-        d_pooled = head.w @ dlogits
-        enc_grads = backward_batch(params, enc, cache, _cls_upstream(enc, d_pooled))
-        head_grads = [(head.w, np.outer(pooled, dlogits)), (head.b, dlogits)]
-        _fd_all_coords(head_grads, sentiment_loss)
-        _fd_all_coords(
-            list(zip((a for _, a in params.named()), (g for _, g in enc_grads.named()))),
-            sentiment_loss,
-        )
-
-        # match head + focal loss, end to end
-        mhead = init_head("match", enc.d_model, np.random.default_rng(4), np.float64)
-        fc = FocalConfig(gamma=2.0, alpha=0.3)
-
-        def match_loss():
-            pooled = forward(params, enc, seq).sentence_vec
-            z = np.array([pooled @ mhead.w + mhead.b[0]])
-            return float(focal_loss_from_logits(z, np.array([1]), fc)[0][0])
-
-        hidden, cache = _cached_forward(params, enc, seq)
-        pooled = hidden[0]
-        z = np.array([pooled @ mhead.w + mhead.b[0]])
-        _, dz = focal_loss_from_logits(z, np.array([1]), fc)
-        enc_grads = backward_batch(params, enc, cache, _cls_upstream(enc, dz[0] * mhead.w))
-        head_grads = [(mhead.w, dz[0] * pooled), (mhead.b, dz.copy())]
-        _fd_all_coords(head_grads, match_loss)
-        _fd_all_coords(
-            list(zip((a for _, a in params.named()), (g for _, g in enc_grads.named()))),
-            match_loss,
-        )
-
-        # span head + span loss, end to end
-        shead = init_head("span", enc.d_model, np.random.default_rng(5), np.float64)
+        # each head + its training loss (Task.loss_and_grad), end to end
         valid = np.array(
             [seg == 1 and off is not None for seg, off in zip(seq.segment_ids, seq.offsets)]
         )
         gold_s, gold_e = np.nonzero(valid)[0][[0, 2]]
+        heads = {
+            "sentiment": (SentimentTask(), 3, [0]),
+            "match": (MatchTask(focal=FocalConfig(gamma=2.0, alpha=0.3)), 4, [1]),
+            "span": (SpanTask(), 5, [[gold_s, gold_e]]),
+        }
+        for kind, (task, head_seed, gold) in heads.items():
+            head = init_head(kind, enc.d_model, np.random.default_rng(head_seed), np.float64)
+            batch = Encoded(
+                [None], [seq], np.asarray(seq.ids)[None], np.asarray(seq.attention_mask)[None],
+                np.array(gold), valid[None] if task.name == "mrc" else None,
+            )
 
-        def span_loss_value():
-            hidden = forward(params, enc, seq).token_vecs
-            s = hidden @ shead.w_start + shead.b_start[0]
-            e = hidden @ shead.w_end + shead.b_end[0]
-            return span_loss(s, e, valid, gold_s, gold_e)[0]
+            def head_loss():
+                hidden = forward(params, enc, seq).token_vecs[None]
+                return task.loss_and_grad(head, hidden, batch)[0]
 
-        hidden, cache = _cached_forward(params, enc, seq)
-        s = hidden @ shead.w_start + shead.b_start[0]
-        e = hidden @ shead.w_end + shead.b_end[0]
-        _, ds, de = span_loss(s, e, valid, gold_s, gold_e)
-        d_tok = np.outer(ds, shead.w_start) + np.outer(de, shead.w_end)
-        enc_grads = backward_batch(params, enc, cache, d_tok[None])
-        head_grads = [
-            (shead.w_start, hidden.T @ ds),
-            (shead.b_start, np.array([ds.sum()])),
-            (shead.w_end, hidden.T @ de),
-            (shead.b_end, np.array([de.sum()])),
-        ]
-        _fd_all_coords(head_grads, span_loss_value)
-        _fd_all_coords(
-            list(zip((a for _, a in params.named()), (g for _, g in enc_grads.named()))),
-            span_loss_value,
-        )
+            hidden, cache = _cached_forward(params, enc, seq)
+            _, head_grads, d_hidden = task.loss_and_grad(head, hidden[None], batch)
+            enc_grads = backward_batch(params, enc, cache, d_hidden)
+            _fd_all_coords([(a, head_grads[n]) for n, a in head.named()], head_loss)
+            _fd_all_coords(
+                list(zip((a for _, a in params.named()), (g for _, g in enc_grads.named()))),
+                head_loss,
+            )
 
 
 def _train_step_batch(task_name, vocab, enc):

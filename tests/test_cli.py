@@ -7,7 +7,7 @@ from finkey.cli import main
 from finkey.corpus import save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
-from finkey.tasks import init_head
+from finkey.tasks import init_head, task_for_head
 from finkey.tokenizer import vocab_from_texts
 from finkey.training import Checkpoint, TrainConfig, save_checkpoint
 
@@ -137,17 +137,37 @@ BAD_INPUTS = {
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
     "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
     "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
+    "config_top_level_list": (2, "bad config file: expected a JSON object"),
+    "task_section_list": (2, "bad sentiment section: expected a JSON object"),
+    "pipeline_section_list": (2, "bad pipeline section: expected a JSON object"),
+    "dev_split_k_string": (2, "bad sentiment.dev_split_k: expected an integer"),
+    "ensemble_seeds_string": (2, "bad ensemble.seeds: expected a list of integers"),
+    "ensemble_top_m_string": (2, "bad ensemble.top_m: expected an integer"),
+    "pipeline_match_threshold_above_one": (2, "bad pipeline.match_threshold"),
+    "pipeline_match_threshold_string": (2, "bad pipeline.match_threshold"),
+    "pipeline_lexicon_invalid_utf8": (2, "bad pipeline.lexicon"),
+    "train_mrc_template_without_tag": (2, "bad mrc.template"),
+    "train_mrc_max_span_len_zero": (2, "bad mrc.max_span_len"),
+    "fine_pipeline_template_without_tag": (2, "bad mrc.template"),
+    "fine_pipeline_max_span_len_zero": (2, "bad mrc.max_span_len"),
 }
+
+def write_checkpoint(path, kind):
+    """A small untrained checkpoint of a head kind over one shared
+    vocabulary; its sentiment head calls every document negative."""
+    vocab = vocab_from_texts(["alpha beta"])
+    enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=64)
+    head = init_head(kind, enc.d_model, np.random.default_rng(0))
+    if kind == "sentiment":
+        head.b[0] = 10.0
+    train_cfg = TrainConfig(task=task_for_head(kind).name, max_len=64)
+    save_checkpoint(Checkpoint(init_params(enc, 0), enc, head, kind, vocab, train_cfg, 0.5, 0), path)
 
 
 def write_bad_checkpoint(path, case):
     """A small sentiment checkpoint, cut short, with a bit of its header
     length flipped, or with one tensor left out of its index."""
-    vocab = vocab_from_texts(["alpha beta"])
-    enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=16)
-    head = init_head("sentiment", enc.d_model, np.random.default_rng(0))
-    train_cfg = TrainConfig(task="sentiment", max_len=16)
-    save_checkpoint(Checkpoint(init_params(enc, 0), enc, head, "sentiment", vocab, train_cfg, 0.5, 0), path)
+    write_checkpoint(path, "sentiment")
     raw = path.read_bytes()
     if case == "truncated_checkpoint":
         path.write_bytes(raw[:-100])
@@ -162,10 +182,68 @@ def write_bad_checkpoint(path, case):
     path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :])
 
 
+def pipeline_argv(tmp_path, mode, **settings):
+    """A pipeline over untrained checkpoints: coarse over corpus.jsonl,
+    fine over tagged documents."""
+    for kind in ("sentiment", "match", "span"):
+        write_checkpoint(tmp_path / f"{kind}.ckpt", kind)
+    inp = tmp_path / "corpus.jsonl"
+    if mode == "fine":
+        inp = tmp_path / "tagged.jsonl"
+        save_corpus(mrc_corpus(8, seed=1), inp)
+    section = {
+        "mode": mode, "schema": "dataset-1" if mode == "coarse" else "dataset-2",
+        "sentiment_checkpoints": [str(tmp_path / "sentiment.ckpt")],
+        "matcher_checkpoints": [str(tmp_path / "match.ckpt")],
+        "mrc_checkpoint": str(tmp_path / "span.ckpt"),
+    }
+    mrc = settings.pop("mrc", {})
+    path, _ = write_config(tmp_path, pipeline={**section, **settings}, mrc=mrc)
+    return ["pipeline", "--config", str(path), "--input", str(inp),
+            "--output", str(tmp_path / "out.jsonl")]
+
+
 def bad_input_argv(tmp_path, case):
     """Command line for one bad input; corpus.jsonl holds sentiment documents."""
     corpus = str(tmp_path / "corpus.jsonl")
     paths = {"corpus": corpus, "schema": "dataset-1", "checkpoints": str(tmp_path / "ckpts")}
+    _, cfg = write_config(tmp_path)
+    train_sentiment = ["train", "--task", "sentiment", "--config", str(tmp_path / "config.json")]
+    if case == "config_top_level_list":
+        (tmp_path / "config.json").write_text("[1]", encoding="utf-8")
+        return train_sentiment
+    if case == "task_section_list":
+        write_config(tmp_path, sentiment=[])
+        return train_sentiment
+    if case == "dev_split_k_string":
+        write_config(tmp_path, sentiment={**cfg["sentiment"], "dev_split_k": "5"})
+        return train_sentiment
+    if case in ("ensemble_seeds_string", "ensemble_top_m_string"):
+        ensemble = {"seeds": "abc", "top_m": 2} if "seeds" in case else {"seeds": [1, 2], "top_m": "2"}
+        path, _ = write_config(tmp_path, ensemble=ensemble)
+        return ["ensemble", "--task", "sentiment", "--config", str(path)]
+    if case == "pipeline_section_list":
+        write_config(tmp_path, pipeline=[])
+        return ["pipeline", "--config", str(tmp_path / "config.json"), "--input", corpus,
+                "--output", str(tmp_path / "out.jsonl")]
+    if case.startswith("pipeline_match_threshold"):
+        return pipeline_argv(tmp_path, "coarse", match_threshold=1.5 if "above" in case else "0.5")
+    if case == "pipeline_lexicon_invalid_utf8":
+        (tmp_path / "lexicon.txt").write_bytes(b"Acme\n\xff\n")
+        return pipeline_argv(tmp_path, "coarse", lexicon=str(tmp_path / "lexicon.txt"))
+    bad_mrc = (
+        {"template": "Which company?"} if case.endswith("template_without_tag")
+        else {"max_span_len": 0}
+    )
+    if case.startswith("fine_pipeline"):
+        return pipeline_argv(tmp_path, "fine", mrc=bad_mrc)
+    if case.startswith("train_mrc"):
+        save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
+        path, _ = write_config(tmp_path, mrc={
+            **cfg["mrc"], "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2",
+            "epochs": 1, **bad_mrc,
+        })
+        return ["train", "--task", "mrc", "--config", str(path)]
     if case == "unknown_focal_key":
         path, _ = write_config(tmp_path, match={"loss": "focal", "focal": {"gamma": 2.0, "beta": 1}})
         return ["train", "--task", "match", "--config", str(path)]

@@ -9,14 +9,16 @@ import finkey.encoder
 from finkey.corpus import Document, MrcExample, PairExample, SentimentLabel
 from finkey.encoder import EncoderConfig, init_params
 from finkey.tasks import (
+    Encoded,
     FocalConfig,
     MatchTask,
+    SentimentHead,
     SentimentTask,
+    SpanHead,
     SpanTask,
     build_question,
     classical_fit,
     classical_predict,
-    cross_entropy,
     detect_key_entities,
     extract_span,
     focal_loss,
@@ -25,56 +27,83 @@ from finkey.tasks import (
     predict_sentiment,
     score_entity,
     select_span,
-    span_loss,
 )
 from finkey.tokenizer import Vocab, encode_pair, vocab_from_texts
 
 
+def encoded_batch(gold, valid=None):
+    """An ``Encoded`` batch carrying only what ``loss_and_grad`` reads:
+    gold targets and, for spans, the valid context positions."""
+    gold = np.asarray(gold, dtype=np.int64)
+    n = gold.shape[0]
+    width = 1 if valid is None else valid.shape[1]
+    ids = np.zeros((n, width), dtype=np.int64)
+    return Encoded([None] * n, [None] * n, ids, np.ones_like(ids), gold, valid)
+
+
+def sentiment_loss(logits, gold):
+    """SentimentTask.loss_and_grad over rows whose [CLS] hidden state is
+    the logit row itself (d_model 2, identity weights, zero bias); returns
+    the loss, the bias gradient and the gradient on the logits."""
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    head = SentimentHead(w=np.eye(2), b=np.zeros(2))
+    loss, grads, d_hidden = SentimentTask().loss_and_grad(
+        head, logits[:, None, :], encoded_batch(np.atleast_1d(gold))
+    )
+    return loss, grads["b"], d_hidden[:, 0, :]
+
+
 class TestCrossEntropy:
+    """The sentiment loss training runs, SentimentTask.loss_and_grad."""
+
     def test_uniform_two_way(self):
-        loss, _ = cross_entropy(np.array([0.0, 0.0]), 0)
+        loss, _, _ = sentiment_loss([0.0, 0.0], 0)
         np.testing.assert_allclose(loss, math.log(2), atol=1e-12)
-        loss, _ = cross_entropy(np.array([0.0, 0.0]), 1)
+        loss, _, _ = sentiment_loss([0.0, 0.0], 1)
         np.testing.assert_allclose(loss, math.log(2), atol=1e-12)
 
     def test_confident_correct(self):
-        loss, _ = cross_entropy(np.array([10.0, -10.0]), 0)
+        loss, _, _ = sentiment_loss([10.0, -10.0], 0)
         # reference value log1p(exp(-20)); log-sum-exp arithmetic is good to
         # a few 1e-16 absolute, which dominates at this magnitude
         np.testing.assert_allclose(loss, math.log1p(math.exp(-20.0)), rtol=1e-6)
         assert loss == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_gradient_is_softmax_minus_onehot(self):
-        logits = np.array([1.0, -2.0, 0.5])
-        _, grad = cross_entropy(logits, 2)
-        z = np.exp(logits - logits.max())
-        soft = z / z.sum()
-        soft[2] -= 1.0
-        np.testing.assert_allclose(grad, soft, atol=1e-12)
+        logits = np.array([[1.0, -2.0], [0.5, 0.25], [-3.0, 2.0]])
+        gold = np.array([1, 0, 1])
+        _, grad_b, _ = sentiment_loss(logits, gold)
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        soft = z / z.sum(axis=1, keepdims=True)
+        soft[np.arange(3), gold] -= 1.0
+        np.testing.assert_allclose(grad_b, soft.mean(axis=0), atol=1e-12)
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(0)
         eps = 1e-6
         for _ in range(20):
-            logits = rng.normal(size=4)
-            gold = int(rng.integers(0, 4))
-            _, grad = cross_entropy(logits, gold)
-            for i in range(4):
+            logits = rng.normal(size=2)
+            gold = int(rng.integers(0, 2))
+            _, _, grad = sentiment_loss(logits, gold)
+            for i in range(2):
                 bumped = logits.copy()
                 bumped[i] += eps
-                up, _ = cross_entropy(bumped, gold)
+                up, _, _ = sentiment_loss(bumped, gold)
                 bumped[i] -= 2 * eps
-                down, _ = cross_entropy(bumped, gold)
+                down, _, _ = sentiment_loss(bumped, gold)
                 fd = (up - down) / (2 * eps)
-                assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6) < 1e-6
+                g = grad[0, i]
+                assert abs(g - fd) / max(abs(g), abs(fd), 1e-6) < 1e-6
 
     def test_gold_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([0.0, 0.0]), 2)
+        with pytest.raises(IndexError):
+            sentiment_loss([0.0, 0.0], 2)
 
     def test_extreme_logits_stable(self):
-        loss, grad = cross_entropy(np.array([1000.0, -1000.0]), 0)
-        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+        for gold, expected in ((0, 0.0), (1, 2000.0)):
+            loss, grad_b, grad = sentiment_loss([1000.0, -1000.0], gold)
+            assert loss == expected
+            assert np.all(np.isfinite(grad_b)) and np.all(np.isfinite(grad))
 
 
 def bce(p, y):
@@ -163,15 +192,6 @@ class TestDetectKeyEntities:
     def test_zero_threshold_keeps_all(self):
         scored = [("A", 0.0), ("B", 0.9)]
         assert detect_key_entities(scored, 0.0) == ["A", "B"]
-
-    def test_accepts_match_predictions(self):
-        from finkey.tasks import MatchPrediction
-
-        scored = [
-            MatchPrediction("A", 0.3, False),
-            MatchPrediction("B", 0.6, True),
-        ]
-        assert detect_key_entities(scored, 0.5) == ["B"]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -301,7 +321,20 @@ class TestSelectSpan:
             assert select_span(s, e, valid, max_span_len) == where_span(s, e, valid, max_span_len)
 
 
+def span_loss(start_scores, end_scores, valid, gold_start, gold_end):
+    """SpanTask.loss_and_grad over one row whose hidden state at each
+    position is its (start, end) score pair (d_model 2, unit weights, zero
+    biases); returns the loss and the gradients on the two score rows."""
+    hidden = np.stack([start_scores, end_scores], axis=-1).astype(np.float64)[None]
+    head = SpanHead(np.array([1.0, 0.0]), np.zeros(1), np.array([0.0, 1.0]), np.zeros(1))
+    batch = encoded_batch([[gold_start, gold_end]], np.asarray(valid, dtype=bool)[None])
+    loss, _, d_hidden = SpanTask().loss_and_grad(head, hidden, batch)
+    return loss, d_hidden[0, :, 0], d_hidden[0, :, 1]
+
+
 class TestSpanLoss:
+    """The span loss training runs, SpanTask.loss_and_grad."""
+
     def test_uniform_scores_give_log_n(self):
         n_valid = 7
         valid = np.array([False] * 3 + [True] * n_valid + [False] * 2)
@@ -349,9 +382,16 @@ class TestSpanLoss:
         assert ds[0] == ds[3] == de[0] == de[3] == 0.0
 
     def test_gold_outside_valid_errors(self):
+        # Encoding rejects a gold span outside the (truncated) context ...
+        vocab = vocab_from_texts(["which alpha one two three four"])
+        ex = MrcExample("0", "which alpha", "one two three four", (14, 18))
+        data = SpanTask().encode([ex], vocab, 8)
+        assert data.n == 0 and "outside the truncated context" in data.errors[0]
+        # ... and a gold position outside ``valid`` costs an infinite loss,
+        # which training stops at, never a finite one it would learn from.
         valid = np.array([False, True, True, False])
-        with pytest.raises(ValueError):
-            span_loss(np.ones(4), np.ones(4), valid, 0, 2)
+        loss, _, _ = span_loss(np.ones(4), np.ones(4), valid, 0, 2)
+        assert loss == math.inf
 
 
 @pytest.fixture(scope="module")
