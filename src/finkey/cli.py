@@ -558,6 +558,8 @@ def cmd_search(args) -> int:
     cfg = _require_config(_load_config(args.config))
     tc = _train_config(cfg, args.task, args.seed)
     deltas = _section(cfg, "search").get("deltas", {})
+    _check(isinstance(deltas, dict) and all(isinstance(v, list) for v in deltas.values()),
+           "search.deltas", deltas, "a JSON object of candidate lists")
     dataset = _task_dataset(cfg, args.task)
     _document_folds(dataset, args.k, tc.seed, "--k")
     try:

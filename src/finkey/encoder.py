@@ -21,16 +21,22 @@ entry point: it runs ``forward_batch`` over each row's real prefix only,
 grouping rows of equal length.  With ``pooled=True`` (heads that read the
 [CLS] row only) the last layer computes keys and values at every position
 and everything else over the first two rows (``query_rows``); the [CLS]
-row comes out bit-identical to the full forward's.  ``forward`` encodes one
+row comes out bit-identical to the full forward's.  Training steps of
+pooled heads cut their last layer the same way; the cache then holds
+full-length arrays, zero past the two rows, and the gradients are
+bit-identical to the full forward's.  ``forward`` encodes one
 TokenSequence.
 
 The forward allocates each intermediate once and updates it in place:
 bias adds, the score scale, an additive key mask built once per forward
 (-0.0 at real keys, -inf at padded ones), the softmax, the residuals, the
 layer norm (the arithmetic of ``mean`` and ``var`` spelled out) and GELU.
-Each step is the same floating-point operation as the allocating form, so
-the outputs are bit-identical to it; nothing recorded in a training cache
-is written after it is recorded.
+The backward does the same for the layer-norm and softmax backward, the
+GELU derivative and the sums of its input gradients, and scatters into
+the embedding gradient with one flat ``np.add.at``.  Each step is the same
+floating-point operation as the allocating form, so the outputs are
+bit-identical to it; nothing recorded in a training cache is written
+after it is recorded, and the backward writes to none of it.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -55,7 +61,7 @@ _INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
 # [CLS] row, but numpy hands a one-row matrix product to BLAS gemv, which
 # sums in another order than the gemm of the full forward; with two rows
 # every product stays a gemm and the [CLS] row stays bit-identical.
-_POOLED_ROWS = 2
+POOLED_ROWS = 2
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -209,25 +215,42 @@ def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.nda
     return table
 
 
-def gelu(x: np.ndarray, return_cdf: bool = False):
-    """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse.
-
-    ``x`` is an array and is left unchanged; Phi(x) is built in one buffer.
-    """
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one new buffer."""
     cdf = x / math.sqrt(2.0)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    return cdf
+
+
+def gelu(x: np.ndarray, return_cdf: bool = False):
+    """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse.
+
+    ``x`` is an array and is left unchanged.
+    """
+    cdf = _normal_cdf(x)
     act = x * cdf
     return (act, cdf) if return_cdf else act
 
 
 def gelu_grad(x: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
-    """d gelu / dx; ``cdf`` is Phi(x) as returned by gelu, if already known."""
+    """d gelu / dx = Phi(x) + x * phi(x); ``cdf`` is Phi(x) as returned by
+    gelu, if already known.
+
+    Built in one new buffer with the operations of
+    ``cdf + x * (np.exp((-0.5 * x) * x) / sqrt(2 pi))``, so it gives their
+    bits; ``x`` and ``cdf`` are left unchanged.
+    """
     if cdf is None:
-        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+        cdf = _normal_cdf(x)
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad /= math.sqrt(2.0 * math.pi)
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -254,15 +277,30 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def _layer_norm_backward(dy: np.ndarray, g: np.ndarray, aux):
+    """Gradients (dx, d_g, d_b) of ``_layer_norm``; ``dy`` and ``aux`` are
+    left unchanged.
+
+    dx is inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) with
+    dxhat = dy * g, built in place in two buffers; each mean is a sum
+    divided by n, as in ``_layer_norm``, so the bits are those of
+    ``.mean``.
+    """
     xhat, inv = aux
-    d_g = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    d_b = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    n = dy.shape[-1]
+    lead = tuple(range(dy.ndim - 1))
+    prod = dy * xhat
+    d_g = prod.sum(axis=lead)
+    d_b = dy.sum(axis=lead)
+    dx = dy * g
+    np.multiply(dx, xhat, out=prod)
+    mean_xhat = prod.sum(axis=-1, keepdims=True)
+    mean_xhat /= n
+    mean = dx.sum(axis=-1, keepdims=True)
+    mean /= n
+    dx -= mean
+    np.multiply(xhat, mean_xhat, out=prod)
+    dx -= prod
+    dx *= inv
     return dx, d_g, d_b
 
 
@@ -273,6 +311,14 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
+
+
+def _softmax_backward(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Gradient on the scores of ``_softmax_last``, in place: overwrites
+    ``d_probs`` with probs * (d_probs - sum(d_probs * probs)) and returns it."""
+    d_probs -= (d_probs * probs).sum(axis=-1, keepdims=True)
+    d_probs *= probs
+    return d_probs
 
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -319,11 +365,18 @@ def forward_batch(
     ``cache`` is a dict, the intermediates needed by backward_batch (and the
     per-layer attention probabilities) are recorded into it.
 
-    With ``query_rows`` (1 <= query_rows <= T, inference only) the last
-    layer computes keys and values at all T positions and the rest of the
-    layer (queries, attention, output projection, layer norms, FFN) over the
-    first ``query_rows`` positions only; the result has shape (batch,
-    query_rows, d_model) and equals those rows of the full forward.
+    With ``query_rows`` (1 <= query_rows <= T) the last layer computes keys
+    and values at all T positions and the rest of the layer (queries,
+    attention, output projection, layer norms, FFN) over the first
+    ``query_rows`` positions only; those rows equal the full forward's.
+    Dropout masks are drawn at full size and cut, so the generator advances
+    as in the full forward.  Without a cache the result has shape (batch,
+    query_rows, d_model).  With a cache the result and the last layer's
+    recorded intermediates have their full-T shapes, with zeros in the rows
+    from ``query_rows`` on: backward_batch then sums over the same shapes
+    as after a full forward, and with an upstream gradient that is zero on
+    those rows it returns the full forward's gradients bit for bit (README,
+    encoder section).
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
@@ -335,17 +388,15 @@ def forward_batch(
     if key_real.shape != ids.shape:
         raise ValueError("attn_mask shape must match ids")
 
-    if query_rows is not None:
-        if training or cache is not None:
-            raise ValueError("query_rows applies to inference without a cache only")
-        if not 1 <= query_rows <= ids.shape[1]:
-            raise ValueError(f"query_rows must lie in [1, {ids.shape[1]}]")
+    t = ids.shape[1]
+    if query_rows is not None and not 1 <= query_rows <= t:
+        raise ValueError(f"query_rows must lie in [1, {t}]")
     use_dropout = training and config.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
 
     x = params.embedding[ids].astype(dt, copy=False)  # the gather made a copy
-    x += sinusoidal_positions(config.max_len, config.d_model, dt)[: ids.shape[1]]
+    x += sinusoidal_positions(config.max_len, config.d_model, dt)[:t]
 
     if cache is not None:
         cache["ids"] = ids
@@ -364,9 +415,8 @@ def forward_batch(
         k += lp.bk
         v = x @ lp.wv
         v += lp.bv
-        if query_rows is not None and lp is params.layers[-1]:
-            x = x[:, :query_rows]
-        q = x @ lp.wq
+        rows = query_rows if query_rows is not None and lp is params.layers[-1] else t
+        q = x[:, :rows] @ lp.wq
         q += lp.bq
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
@@ -382,8 +432,8 @@ def forward_batch(
         drop1 = None
         if use_dropout:
             drop1 = _dropout_mask(config, *ids.shape, rng)
-            attn *= drop1
-        attn += x
+            attn *= drop1[:, :rows]
+        attn += x[:, :rows]
         h1, ln1_aux = _layer_norm(attn, lp.ln1_g, lp.ln1_b)
         ff_pre = h1 @ lp.w1
         ff_pre += lp.b1
@@ -393,10 +443,17 @@ def forward_batch(
         drop2 = None
         if use_dropout:
             drop2 = _dropout_mask(config, *ids.shape, rng)
-            ff *= drop2
+            ff *= drop2[:, :rows]
         ff += h1
         h2, ln2_aux = _layer_norm(ff, lp.ln2_g, lp.ln2_b)
         if cache is not None:
+            if rows < t:  # back to full-T shapes for backward_batch's sums
+                q, probs, ctx, h1, ff_pre, cdf, act, h2 = (
+                    _pad_rows(a, t) for a in (q, probs, ctx, h1, ff_pre, cdf, act, h2)
+                )
+                ln1_aux = tuple(_pad_rows(a, t) for a in ln1_aux)
+                ln2_aux = tuple(_pad_rows(a, t) for a in ln2_aux)
+                qh = _split_heads(q, config.n_heads)
             cache["layers"].append(
                 {
                     "x_in": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
@@ -409,6 +466,14 @@ def forward_batch(
     if cache is not None:
         cache["hidden"] = x
     return x
+
+
+def _pad_rows(a: np.ndarray, t: int) -> np.ndarray:
+    """A copy of ``a`` with its query axis (the second to last) filled up
+    with zeros to length ``t``."""
+    out = np.zeros((*a.shape[:-2], t, a.shape[-1]), a.dtype)
+    out[..., : a.shape[-2], :] = a
+    return out
 
 
 def weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -428,7 +493,12 @@ def backward_batch(
 
     ``d_hidden`` is the upstream gradient on the final hidden states.  The
     gradients are added into ``grads`` (zeros when not given), which is
-    returned.
+    returned.  ``d_hidden`` and the cache are left unchanged.
+
+    Intermediates are updated in place with the operations, in the order,
+    of the allocating expressions, so the bits are theirs; the 3-D
+    ``X @ W.T`` products and every sum over positions are left as they are,
+    since regrouping them moves the last bits.
     """
     if grads is None:
         grads = _zero_params(config)
@@ -440,36 +510,38 @@ def backward_batch(
         gl = grads.layers[li]
         c = cache["layers"][li]
 
-        d_sum2, d_g, d_b = _layer_norm_backward(dx, lp.ln2_g, c["ln2_aux"])
+        # d_h1 is the residual's gradient; it is added to in place only
+        # after the last read of d_ff, which may be the same array.
+        d_h1, d_g, d_b = _layer_norm_backward(dx, lp.ln2_g, c["ln2_aux"])
         gl.ln2_g += d_g
         gl.ln2_b += d_b
-        d_h1 = d_sum2.copy()
-        d_ff = d_sum2 if c["drop2"] is None else d_sum2 * c["drop2"]
+        d_ff = d_h1 if c["drop2"] is None else d_h1 * c["drop2"]
 
         gl.w2 += weight_grad(c["act"], d_ff)
         gl.b2 += d_ff.sum(axis=(0, 1))
-        d_act = d_ff @ lp.w2.T
-        d_ff_pre = d_act * gelu_grad(c["ff_pre"], c["cdf"])
+        d_ff_pre = d_ff @ lp.w2.T
+        d_ff_pre *= gelu_grad(c["ff_pre"], c["cdf"])
         gl.w1 += weight_grad(c["h1"], d_ff_pre)
         gl.b1 += d_ff_pre.sum(axis=(0, 1))
         d_h1 += d_ff_pre @ lp.w1.T
 
-        d_sum1, d_g, d_b = _layer_norm_backward(d_h1, lp.ln1_g, c["ln1_aux"])
+        # Likewise dx_layer and d_attn.
+        dx_layer, d_g, d_b = _layer_norm_backward(d_h1, lp.ln1_g, c["ln1_aux"])
         gl.ln1_g += d_g
         gl.ln1_b += d_b
-        dx_layer = d_sum1.copy()
-        d_attn = d_sum1 if c["drop1"] is None else d_sum1 * c["drop1"]
+        d_attn = dx_layer if c["drop1"] is None else dx_layer * c["drop1"]
 
         gl.wo += weight_grad(c["ctx"], d_attn)
         gl.bo += d_attn.sum(axis=(0, 1))
         d_ctx = _split_heads(d_attn @ lp.wo.T, config.n_heads)
 
         probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
-        d_probs = d_ctx @ vh.swapaxes(-1, -2)
         d_vh = probs.swapaxes(-1, -2) @ d_ctx
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_qh = (d_scores @ kh) * scale
-        d_kh = (d_scores.swapaxes(-1, -2) @ qh) * scale
+        d_scores = _softmax_backward(d_ctx @ vh.swapaxes(-1, -2), probs)
+        d_qh = d_scores @ kh
+        d_qh *= scale
+        d_kh = d_scores.swapaxes(-1, -2) @ qh
+        d_kh *= scale
 
         x_in = c["x_in"]
         d_q = _merge_heads(d_qh)
@@ -481,15 +553,29 @@ def backward_batch(
         gl.bk += d_k.sum(axis=(0, 1))
         gl.wv += weight_grad(x_in, d_v)
         gl.bv += d_v.sum(axis=(0, 1))
-        dx_layer += d_q @ lp.wq.T + d_k @ lp.wk.T + d_v @ lp.wv.T
+        d_in = d_q @ lp.wq.T
+        d_in += d_k @ lp.wk.T
+        d_in += d_v @ lp.wv.T
+        dx_layer += d_in
         dx = dx_layer
 
-    np.add.at(
-        grads.embedding,
-        cache["ids"].reshape(-1),
-        dx.reshape(-1, config.d_model).astype(grads.embedding.dtype),
-    )
+    _scatter_add_rows(grads.embedding, cache["ids"], dx)
     return grads
+
+
+def _scatter_add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``rows[..., j]`` into ``table[ids, j]`` in place, repeated ids
+    summing; ``table`` is a C-contiguous (n, d) array.
+
+    One 1-D ``np.add.at`` over the flat indices ids * d + j: each element
+    receives its terms in the order of ``np.add.at(table, ids, rows)`` over
+    (-1, d) rows, so the bits are the same, at a quarter of the time.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("the table to scatter into must be C-contiguous")
+    d = table.shape[-1]
+    flat_ids = (ids[..., None] * d + np.arange(d)).reshape(-1)
+    np.add.at(table.reshape(-1), flat_ids, rows.reshape(-1).astype(table.dtype, copy=False))
 
 
 def _row_lengths(attn_mask: np.ndarray, max_len: int) -> np.ndarray:
@@ -545,7 +631,7 @@ def forward_inference(
     lengths = _row_lengths(mask, ids.shape[1])
     t_max = int(lengths.max(initial=min(ids.shape[1], _LENGTH_MULTIPLE)))
     # Every group is at least min(T, 8) positions long, so it has these rows.
-    query_rows = min(_POOLED_ROWS, ids.shape[1]) if pooled else None
+    query_rows = min(POOLED_ROWS, ids.shape[1]) if pooled else None
     hidden = np.zeros((ids.shape[0], query_rows or t_max, config.d_model), dtype=config.np_dtype)
     for t in np.unique(lengths):
         rows = np.flatnonzero(lengths == t)

@@ -192,7 +192,9 @@ def run_pipeline(
     the (entity, text) pairs or questions of its negative documents.  Each
     text and pair is tokenized once per distinct member max_len.  A
     document that cannot be encoded gets an error and the rest of its
-    block goes on.  Results keep the input order.
+    block goes on.  Results keep the input order.  Bad arguments, such as
+    a fine-mode ``template`` without exactly one ``{tag}``, raise
+    ValueError before any document is read.
     """
     if mode not in ("coarse", "fine"):
         raise ValueError("mode must be 'coarse' or 'fine'")
@@ -211,6 +213,7 @@ def run_pipeline(
             raise ValueError("fine mode needs an mrc checkpoint")
         if mrc_checkpoint.head_kind != "span":
             raise ValueError("mrc checkpoint must be a span model")
+        build_question("", template)  # raises unless the template has one {tag}
         stage2_task, stage2_members = SpanTask(max_span_len=max_span_len), [mrc_checkpoint]
     _check_shared_vocab(list(sentiment_members) + stage2_members)
     if not 0.0 <= match_threshold <= 1.0:

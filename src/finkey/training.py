@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import CorpusError, Document
 from .encoder import (
+    POOLED_ROWS,
     EncoderConfig,
     EncoderParams,
     backward_batch,
@@ -422,8 +423,11 @@ def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: En
     position, rounded up to 8) before the forward.  Padded keys are masked
     and no loss reaches a padded position, so the cut changes no gradient
     in exact arithmetic, and dropout draws its masks at ``max_len``, so the
-    generator advances as at full length.  The activation cache is freed on
-    return, before the next batch or the dev evaluation.
+    generator advances as at full length.  A pooled task's loss reads the
+    [CLS] row only, so its last encoder layer runs over the first
+    ``POOLED_ROWS`` rows (forward_batch's ``query_rows``); the gradients are
+    bit-identical to those of the full forward.  The activation cache is
+    freed on return, before the next batch or the dev evaluation.
     """
     t = inference_length(batch.mask, enc_cfg.max_len)
     batch = replace(
@@ -434,7 +438,8 @@ def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: En
     )
     cache: dict = {}
     hidden = forward_batch(
-        model.encoder, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache
+        model.encoder, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache,
+        query_rows=min(POOLED_ROWS, t) if task.pooled else None,
     )
     loss, head_grads, d_hidden = task.loss_and_grad(model.head, hidden, batch)
     grads = ParamStore(np.zeros_like(model.flat), enc_cfg, task.head_kind)

@@ -130,6 +130,8 @@ BAD_INPUTS = {
     "crossval_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
     "crossval_k_below_two": (2, "bad --k: need 2 <= k <= 40"),
     "search_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
+    "search_deltas_list": (2, "bad search.deltas"),
+    "search_deltas_int_values": (2, "bad search.deltas"),
     "train_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "truncated_checkpoint": (2, "tensor section is"),
@@ -272,6 +274,10 @@ def bad_input_argv(tmp_path, case):
         })
         return ["pipeline", "--config", str(path), "--input", corpus,
                 "--output", str(tmp_path / "out.jsonl")]
+    if case.startswith("search_deltas"):
+        deltas = ["epochs"] if case.endswith("list") else {"epochs": 2}
+        path, _ = write_config(tmp_path, search={"deltas": deltas})
+        return ["search", "--task", "sentiment", "--k", "2", "--config", str(path)]
     if case.startswith(("crossval", "search")):
         path, _ = write_config(tmp_path)
         k = "1" if case.endswith("below_two") else "41"

@@ -21,7 +21,17 @@ from finkey.encoder import (
     sinusoidal_positions,
     weight_grad,
 )
-from finkey.encoder import _LN_EPS, _layer_norm, _softmax_last
+from finkey.encoder import (
+    _LN_EPS,
+    _layer_norm,
+    _layer_norm_backward,
+    _merge_heads,
+    _scatter_add_rows,
+    _softmax_backward,
+    _softmax_last,
+    _split_heads,
+    _zero_params,
+)
 from finkey.tokenizer import encode_pair, encode_single, vocab_from_texts
 
 
@@ -260,18 +270,130 @@ class TestPooledForward:
         assert hidden.shape == (ids.shape[0], rows, cfg.d_model)
         assert np.array_equal(hidden[:, 0], forward_inference(params, cfg, ids, mask)[:, 0])
 
-    def test_query_rows_only_in_inference_without_cache(self, vocab):
-        cfg = tiny_config(vocab)
+    def test_query_rows_in_training_keep_full_shapes(self, vocab):
+        cfg = tiny_config(vocab, dropout_rate=0.1)
         params = init_params(cfg, 0)
         ids = np.full((2, 8), 5, dtype=np.int64)
         mask = np.ones_like(ids)
-        with pytest.raises(ValueError, match="query_rows"):
-            forward_batch(params, cfg, ids, mask, training=True, query_rows=2)
-        with pytest.raises(ValueError, match="query_rows"):
-            forward_batch(params, cfg, ids, mask, cache={}, query_rows=2)
+        caches, outs, rngs = [{}, {}], [], []
+        for cache, rows in zip(caches, (2, None)):
+            rngs.append(np.random.default_rng(3))
+            outs.append(forward_batch(params, cfg, ids, mask, training=True, rng=rngs[-1],
+                                      cache=cache, query_rows=rows))
+        assert outs[0].shape == outs[1].shape
+        assert np.array_equal(outs[0][:, :2], outs[1][:, :2]) and not outs[0][:, 2:].any()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        cut, full = caches[0]["layers"][-1], caches[1]["layers"][-1]
+        for name in ("qh", "probs", "ctx", "h1", "ff_pre", "cdf", "act"):
+            assert cut[name].shape == full[name].shape, name
+            assert not cut[name][..., 2:, :].any(), name
         for rows in (0, 9):
             with pytest.raises(ValueError, match="query_rows"):
                 forward_batch(params, cfg, ids, mask, query_rows=rows)
+            with pytest.raises(ValueError, match="query_rows"):
+                forward_batch(params, cfg, ids, mask, training=True, rng=np.random.default_rng(0),
+                              cache={}, query_rows=rows)
+
+
+@st.composite
+def pooled_training_batches(draw):
+    """A training setup: config, perturbed parameters, a padded batch, an
+    upstream gradient on the [CLS] rows and a dropout seed."""
+    n_heads = draw(st.integers(1, 4))
+    d_model = n_heads * draw(st.sampled_from([8, 12, 16]))
+    cfg = EncoderConfig(
+        vocab_size=20, d_model=d_model, n_heads=n_heads, n_layers=draw(st.integers(1, 3)),
+        d_ff=2 * d_model, max_len=40, dropout_rate=draw(st.sampled_from([0.0, 0.1])),
+        dtype=draw(st.sampled_from(["float32", "float64"])),
+    )
+    t = draw(st.integers(1, cfg.max_len))
+    lengths = draw(st.lists(st.integers(1, t), min_size=1, max_size=17))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    params = init_params(cfg, draw(st.integers(0, 99)))
+    for _, arr in params.named():
+        arr += rng.normal(0, 0.05, arr.shape).astype(arr.dtype)
+    ids = rng.integers(0, cfg.vocab_size, size=(len(lengths), t))
+    mask = (np.arange(t)[None, :] < np.array(lengths)[:, None]).astype(np.int64)
+    d_cls = rng.normal(size=(len(lengths), d_model)).astype(cfg.np_dtype)
+    return cfg, params, ids, mask, d_cls, draw(st.integers(0, 2**16))
+
+
+def reference_backward_batch(params, config, cache, d_hidden):
+    """backward_batch as written before it worked in place, kept verbatim
+    (with the reference kernels) as the reference it must match bit for bit."""
+    grads = _zero_params(config)
+    scale = 1.0 / math.sqrt(config.d_head)
+    dx = np.asarray(d_hidden, dtype=config.np_dtype)
+    for li in range(config.n_layers - 1, -1, -1):
+        lp = params.layers[li]
+        gl = grads.layers[li]
+        c = cache["layers"][li]
+        d_sum2, d_g, d_b = reference_layer_norm_backward(dx, lp.ln2_g, c["ln2_aux"])
+        gl.ln2_g += d_g
+        gl.ln2_b += d_b
+        d_h1 = d_sum2.copy()
+        d_ff = d_sum2 if c["drop2"] is None else d_sum2 * c["drop2"]
+        gl.w2 += weight_grad(c["act"], d_ff)
+        gl.b2 += d_ff.sum(axis=(0, 1))
+        d_act = d_ff @ lp.w2.T
+        d_ff_pre = d_act * reference_gelu_grad(c["ff_pre"], c["cdf"])
+        gl.w1 += weight_grad(c["h1"], d_ff_pre)
+        gl.b1 += d_ff_pre.sum(axis=(0, 1))
+        d_h1 += d_ff_pre @ lp.w1.T
+        d_sum1, d_g, d_b = reference_layer_norm_backward(d_h1, lp.ln1_g, c["ln1_aux"])
+        gl.ln1_g += d_g
+        gl.ln1_b += d_b
+        dx_layer = d_sum1.copy()
+        d_attn = d_sum1 if c["drop1"] is None else d_sum1 * c["drop1"]
+        gl.wo += weight_grad(c["ctx"], d_attn)
+        gl.bo += d_attn.sum(axis=(0, 1))
+        d_ctx = _split_heads(d_attn @ lp.wo.T, config.n_heads)
+        probs, qh, kh, vh = c["probs"], c["qh"], c["kh"], c["vh"]
+        d_probs = d_ctx @ vh.swapaxes(-1, -2)
+        d_vh = probs.swapaxes(-1, -2) @ d_ctx
+        d_scores = reference_softmax_backward(d_probs, probs)
+        d_qh = (d_scores @ kh) * scale
+        d_kh = (d_scores.swapaxes(-1, -2) @ qh) * scale
+        x_in = c["x_in"]
+        d_q = _merge_heads(d_qh)
+        d_k = _merge_heads(d_kh)
+        d_v = _merge_heads(d_vh)
+        gl.wq += weight_grad(x_in, d_q)
+        gl.bq += d_q.sum(axis=(0, 1))
+        gl.wk += weight_grad(x_in, d_k)
+        gl.bk += d_k.sum(axis=(0, 1))
+        gl.wv += weight_grad(x_in, d_v)
+        gl.bv += d_v.sum(axis=(0, 1))
+        dx_layer += d_q @ lp.wq.T + d_k @ lp.wk.T + d_v @ lp.wv.T
+        dx = dx_layer
+    reference_scatter_add_rows(grads.embedding, cache["ids"], dx)
+    return grads
+
+
+class TestPooledTraining:
+    """A training forward and backward with query_rows=2 give the gradient
+    bytes of the full forward when only the [CLS] rows get a gradient, and
+    backward_batch gives the bytes of the allocating reference backward."""
+
+    @given(pooled_training_batches())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_gradients_byte_identical(self, setup):
+        cfg, params, ids, mask, d_cls, seed = setup
+        results = []
+        for rows in (min(2, ids.shape[1]), None):
+            cache, rng = {}, np.random.default_rng(seed)
+            hidden = forward_batch(params, cfg, ids, mask, training=True, rng=rng, cache=cache,
+                                   query_rows=rows)
+            d_hidden = np.zeros_like(hidden)
+            d_hidden[:, 0] = d_cls
+            grads = backward_batch(params, cfg, cache, d_hidden)
+            results.append((hidden[:, 0], [g for _, g in grads.named()], rng.bit_generator.state))
+        (cls_cut, grads_cut, state_cut), (cls_full, grads_full, state_full) = results
+        assert same_bits(cls_cut, cls_full)
+        assert all(same_bits(a, b) for a, b in zip(grads_cut, grads_full))
+        assert state_cut == state_full
+        reference = reference_backward_batch(params, cfg, cache, d_hidden)
+        assert all(same_bits(a, b) for a, (_, b) in zip(grads_full, reference.named()))
 
 
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):
@@ -421,6 +543,34 @@ def reference_gelu(x):
     return act, cdf
 
 
+def reference_gelu_grad(x, cdf=None):
+    if cdf is None:
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
+
+
+def reference_layer_norm_backward(dy, g, aux):
+    xhat, inv = aux
+    d_g = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    d_b = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, d_g, d_b
+
+
+def reference_softmax_backward(d_probs, probs):
+    return probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+
+
+def reference_scatter_add_rows(table, ids, rows):
+    np.add.at(table, ids.reshape(-1), rows.reshape(-1, table.shape[-1]).astype(table.dtype))
+
+
 def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -442,7 +592,8 @@ def kernel_inputs(draw, max_side=5):
 
 
 class TestInPlaceKernels:
-    """The in-place layer norm, softmax and GELU give the old bits."""
+    """The in-place layer norm, softmax and GELU, their backward passes and
+    the flat embedding scatter give the old bits."""
 
     @settings(max_examples=200, deadline=None)
     @given(kernel_inputs(), st.data())
@@ -482,6 +633,72 @@ class TestInPlaceKernels:
         assert same_bits(act, ref_act)
         assert same_bits(cdf, ref_cdf)
         assert same_bits(x, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(), st.booleans())
+    def test_gelu_grad(self, x, shared_cdf):
+        with np.errstate(all="ignore"):
+            cdf = reference_gelu(x)[1] if shared_cdf else None
+            inputs = [a for a in (x, cdf) if a is not None]
+            before = [a.copy() for a in inputs]
+            got = gelu_grad(x, cdf)
+            want = reference_gelu_grad(x, cdf)
+        assert same_bits(got, want)
+        assert all(same_bits(a, b) for a, b in zip(inputs, before))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(), st.data())
+    def test_layer_norm_backward(self, x, data):
+        width = x.dtype.itemsize * 8
+        g = data.draw(hnp.arrays(x.dtype, x.shape[-1], elements=st.floats(-3, 3, width=width)))
+        dy = data.draw(hnp.arrays(x.dtype, x.shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, width=width))))
+        with np.errstate(all="ignore"):
+            aux = _layer_norm(x, g, np.zeros_like(g))[1]
+            before = [a.copy() for a in (dy, *aux)]
+            got = _layer_norm_backward(dy, g, aux)
+            want = reference_layer_norm_backward(dy, g, aux)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(same_bits(a, b) for a, b in zip((dy, *aux), before))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_inputs(), st.data())
+    def test_softmax_backward(self, x, data):
+        width = x.dtype.itemsize * 8
+        masked = data.draw(hnp.arrays(bool, x.shape))
+        masked[..., 0] = False
+        with np.errstate(all="ignore"):
+            probs = reference_softmax_last(np.where(masked, x.dtype.type(-np.inf), x))
+        d_probs = data.draw(hnp.arrays(x.dtype, x.shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, width=width))))
+        before = probs.copy()
+        with np.errstate(all="ignore"):
+            want = reference_softmax_backward(d_probs, probs)
+            got = _softmax_backward(d_probs, probs)
+        assert got is d_probs
+        assert same_bits(got, want)
+        assert same_bits(probs, before)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 6),  # table rows: few, so ids repeat
+        st.integers(1, 16),  # row width
+        st.lists(st.integers(1, 5), min_size=1, max_size=2),  # leading shape of ids
+        st.data(),
+    )
+    def test_scatter_add_rows(self, dtype, n, d, lead, data):
+        width = np.dtype(dtype).itemsize * 8
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6, width=width))
+        table = data.draw(hnp.arrays(dtype, (n, d), elements=values))  # grads already there
+        ids = data.draw(hnp.arrays(np.int64, lead, elements=st.integers(0, n - 1)))
+        rows = data.draw(hnp.arrays(dtype, (*lead, d), elements=values))
+        want = table.copy()
+        reference_scatter_add_rows(want, ids, rows)
+        _scatter_add_rows(table, ids, rows)
+        assert same_bits(table, want)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _scatter_add_rows(np.zeros((3, 2), dtype).T, ids, rows)
 
 
 class RecordingCache(dict):
@@ -532,15 +749,15 @@ class TestForwardLeavesArraysAlone:
         return cfg, params, ids, mask
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("mode", ["inference", "pooled", "training"])
+    @pytest.mark.parametrize("mode", ["inference", "pooled", "training", "pooled_training"])
     def test_inputs_parameters_and_cache_unchanged(self, vocab, dtype, mode):
         cfg, params, ids, mask = self.setup_inputs(vocab, dtype)
         before = [a.copy() for a in (ids, mask, *(t for _, t in params.named()))]
-        cache = RecordingCache() if mode == "training" else None
+        cache = RecordingCache() if mode.endswith("training") else None
         forward_batch(
             params, cfg, ids, mask,
-            training=mode == "training", rng=np.random.default_rng(6), cache=cache,
-            query_rows=2 if mode == "pooled" else None,
+            training=cache is not None, rng=np.random.default_rng(6), cache=cache,
+            query_rows=2 if mode.startswith("pooled") else None,
         )
         after = [ids, mask, *(t for _, t in params.named())]
         assert all(same_bits(a, b) for a, b in zip(after, before))

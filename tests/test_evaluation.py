@@ -447,6 +447,14 @@ class TestRunPipeline:
                 doc_result.sentiment, doc_result.prob_negative
             )
 
+    @pytest.mark.parametrize("template", ["Which company?", "{tag} or {tag}?"])
+    def test_fine_mode_rejects_template_without_one_tag(
+        self, sentiment_members, shared_vocab, template
+    ):
+        with pytest.raises(ValueError, match="tag"):
+            run_pipeline([], sentiment_members, mode="fine",
+                         mrc_checkpoint=_span_checkpoint(shared_vocab), template=template)
+
     def test_mode_validation(self, sentiment_members):
         with pytest.raises(ValueError):
             run_pipeline([], sentiment_members, mode="medium")

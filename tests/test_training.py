@@ -402,6 +402,28 @@ class TestTrimmedTrainingStep:
         assert rng_trimmed.bit_generator.state == rng_padded.bit_generator.state
 
 
+    @pytest.mark.parametrize("task_name, rows", [("sentiment", 2), ("match", 2), ("mrc", None)])
+    def test_pooled_tasks_cut_the_last_layer(self, monkeypatch, task_name, rows):
+        import finkey.training
+
+        vocab = vocab_from_texts([" ".join(self.WORDS)])
+        enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                            max_len=20, dropout_rate=0.0)
+        task = TASKS[task_name]()
+        head = init_head(task.head_kind, enc.d_model, np.random.default_rng(0))
+        model = ParamStore.of(enc, init_params(enc, 0), head, task.head_kind)
+        batch = task.encode(self.batch_items(task_name, [["alpha", "beta"]] * 3), vocab, enc.max_len)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("query_rows"))
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(finkey.training, "forward_batch", spy)
+        _train_step(task, model, enc, batch, np.random.default_rng(0))
+        assert seen == [rows]
+
+
 class TestCheckpointSerialization:
     def test_round_trip_bit_exact(self, sentiment_sets, tmp_path):
         train_set, dev_set = sentiment_sets
