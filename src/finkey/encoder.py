@@ -36,7 +36,8 @@ GELU derivative and the sums of its input gradients, and scatters into
 the embedding gradient with one flat ``np.add.at``.  Each step is the same
 floating-point operation as the allocating form, so the outputs are
 bit-identical to it; nothing recorded in a training cache is written
-after it is recorded, and the backward writes to none of it.
+after it is recorded, and the backward writes to none of it.  Without a
+cache, each intermediate is dropped after its last read.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -227,11 +228,15 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
 def gelu(x: np.ndarray, return_cdf: bool = False):
     """x * Phi(x); with ``return_cdf`` also Phi(x), which gelu_grad can reuse.
 
-    ``x`` is an array and is left unchanged.
+    ``x`` is an array and is left unchanged.  Without ``return_cdf`` the
+    product is written over Phi(x), so the result is the one new buffer
+    (Phi(x) * x and x * Phi(x) are the same IEEE product).
     """
     cdf = _normal_cdf(x)
-    act = x * cdf
-    return (act, cdf) if return_cdf else act
+    if return_cdf:
+        return x * cdf, cdf
+    cdf *= x
+    return cdf
 
 
 def gelu_grad(x: np.ndarray, cdf: Optional[np.ndarray] = None) -> np.ndarray:
@@ -410,6 +415,8 @@ def forward_batch(
     key_bias = None
     if not key_real.all():
         key_bias = np.where(key_real, dt(-0.0), dt(-np.inf))[:, None, None, :]
+    # Without a cache, each intermediate is dropped after its last read, which
+    # keeps the peak memory of large inference batches down (README).
     for lp in params.layers:
         k = x @ lp.wk
         k += lp.bk
@@ -427,6 +434,8 @@ def forward_batch(
             scores += key_bias
         probs = _softmax_last(scores)
         ctx = _merge_heads(probs @ vh)
+        if cache is None:
+            del q, k, v, qh, kh, vh, scores, probs
         attn = ctx @ lp.wo
         attn += lp.bo
         drop1 = None
@@ -435,10 +444,18 @@ def forward_batch(
             attn *= drop1[:, :rows]
         attn += x[:, :rows]
         h1, ln1_aux = _layer_norm(attn, lp.ln1_g, lp.ln1_b)
+        if cache is None:
+            del x, ctx, attn, ln1_aux
         ff_pre = h1 @ lp.w1
         ff_pre += lp.b1
-        act, cdf = gelu(ff_pre, return_cdf=True)
+        if cache is None:
+            act = gelu(ff_pre)
+            del ff_pre
+        else:
+            act, cdf = gelu(ff_pre, return_cdf=True)
         ff = act @ lp.w2
+        if cache is None:
+            del act
         ff += lp.b2
         drop2 = None
         if use_dropout:

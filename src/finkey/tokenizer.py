@@ -2,17 +2,21 @@
 
 Tokenization is dependency-free and offset-preserving: maximal runs of ASCII
 letters/digits become one lowercased token, every other non-space character
-(CJK included) is a token of its own.  Encoding follows the usual
+(CJK included) is a token of its own.  It is one compiled regular
+expression; in a ``str`` pattern ``\\s`` is exactly ``str.isspace``, so the
+tokens are those of a character-by-character scan.  Encoding follows the usual
 [CLS] ... [SEP] layout with segment ids, attention mask and per-token
 character offsets so extracted spans can be mapped back to source text.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -32,8 +36,14 @@ class TokenizerError(ValueError):
     pass
 
 
-def _is_word_char(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or "0" <= ch <= "9"
+# Group 1 (``m.lastindex`` 1) is a run of ASCII letters/digits; otherwise one
+# non-space character.
+_TOKEN_RE = re.compile(r"([A-Za-z0-9]+)|\S")
+
+
+def _iter_tokens(text: str) -> Iterator[tuple[str, Span]]:
+    for m in _TOKEN_RE.finditer(text):
+        yield (m[0] if m.lastindex is None else m[0].lower()), m.span()
 
 
 def tokenize(text: str) -> list[tuple[str, Span]]:
@@ -42,23 +52,7 @@ def tokenize(text: str) -> list[tuple[str, Span]]:
     Runs of ASCII letters/digits form one lowercased token; any other
     non-space character stands alone.  Spans index the original string.
     """
-    tokens: list[tuple[str, Span]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if _is_word_char(ch):
-            j = i + 1
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            tokens.append((text[i:j].lower(), (i, j)))
-            i = j
-        else:
-            tokens.append((ch, (i, i + 1)))
-            i += 1
-    return tokens
+    return list(_iter_tokens(text))
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ def encode_single(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Encode one text as [CLS] tokens [SEP], truncated and padded to max_len."""
     if max_len < 3:
         raise TokenizerError("max_len must be >= 3 for single-text encoding")
-    tokens = tokenize(text)[: max_len - 2]
+    tokens = list(islice(_iter_tokens(text), max_len - 2))
     ids = [CLS_ID] + [vocab.lookup(t) for t, _ in tokens] + [SEP_ID]
     offsets: list[Optional[Span]] = [None] + [span for _, span in tokens] + [None]
     n = len(ids)
@@ -199,7 +193,7 @@ def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
         raise TokenizerError(
             f"first segment too long: {len(a_tokens)} tokens with max_len {max_len}"
         )
-    b_tokens = tokenize(b)[: max_len - 3 - len(a_tokens)]
+    b_tokens = list(islice(_iter_tokens(b), max_len - 3 - len(a_tokens)))
     ids = (
         [CLS_ID]
         + [vocab.lookup(t) for t, _ in a_tokens]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
@@ -76,8 +77,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"task must be one of {tuple(TASKS)}")
+        for name in ("epochs", "batch_size", "seed", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.threshold <= 1.0:
@@ -566,6 +573,16 @@ class SearchResult:
     table: list[SearchRow]
 
 
+def _grid_config(base_cfg: TrainConfig, overrides: dict) -> TrainConfig:
+    """``base_cfg`` with ``overrides``; a value TrainConfig rejects, of a
+    wrong type included, is a ValueError naming the overridden fields."""
+    try:
+        return replace(base_cfg, **overrides)
+    except (TypeError, ValueError) as exc:
+        changes = ", ".join(f"{name}={value!r}" for name, value in overrides.items())
+        raise ValueError(f"bad search candidate {changes}: {exc}") from None
+
+
 def neighborhood_search(
     base_cfg: TrainConfig,
     deltas: dict[str, list],
@@ -577,9 +594,11 @@ def neighborhood_search(
     """Grid search over candidate values arranged around the base config.
 
     Every per-field candidate list is extended with the base value, so the
-    base config is always in the grid.  Candidates are scored by k-fold
-    mean dev score; ties prefer fewer changed fields, then the smallest
-    candidate in sorted-field order.
+    base config is always in the grid.  Every grid config is built before
+    any trains, so a bad candidate is a ValueError naming its field before
+    any work is done.  Candidates are scored by k-fold mean dev score; ties
+    prefer fewer changed fields, then the smallest candidate in sorted-field
+    order.
     """
     field_names = sorted(deltas)
     for name in field_names:
@@ -595,10 +614,17 @@ def neighborhood_search(
             values.append(base_value)
         candidate_lists.append(values)
 
+    for name, values in zip(field_names, candidate_lists):
+        for value in values:  # a bad value alone, named before any combination
+            _grid_config(base_cfg, {name: value})
+    grid = [
+        (combo, _grid_config(base_cfg, dict(zip(field_names, combo))))
+        for combo in product(*candidate_lists)
+    ]
+
     rows: list[tuple[tuple, TrainConfig, SearchRow]] = []
-    for combo in product(*candidate_lists):
+    for combo, cfg in grid:
         overrides = dict(zip(field_names, combo))
-        cfg = replace(base_cfg, **overrides)
         result = cross_validate(dataset, cfg, k, encoder=encoder, **train_kwargs)
         n_changed = sum(
             value != getattr(base_cfg, name) for name, value in overrides.items()

@@ -132,12 +132,16 @@ BAD_INPUTS = {
     "search_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
     "search_deltas_list": (2, "bad search.deltas"),
     "search_deltas_int_values": (2, "bad search.deltas"),
+    "search_deltas_string_candidate": (2, "bad search candidate epochs='a'"),
+    "search_deltas_epochs_zero": (2, "bad search candidate epochs=0"),
     "train_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "truncated_checkpoint": (2, "tensor section is"),
     "checkpoint_missing_tensor": (2, "tensor index differs"),
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
     "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
+    "epochs_float": (2, "bad sentiment training section: epochs must be an integer, got 1.5"),
+    "seed_negative": (2, "bad sentiment training section: seed must be >= 0"),
     "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
     "config_top_level_list": (2, "bad config file: expected a JSON object"),
     "task_section_list": (2, "bad sentiment section: expected a JSON object"),
@@ -258,9 +262,10 @@ def bad_input_argv(tmp_path, case):
         (tmp_path / "bad.jsonl").write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
         path, _ = write_config(tmp_path, paths={**paths, "corpus": str(tmp_path / "bad.jsonl")})
         return ["train", "--task", "sentiment", "--config", str(path)]
-    if case == "beta2_one":
-        _, cfg = write_config(tmp_path)
-        path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], "beta2": 1.0})
+    if case in ("beta2_one", "epochs_float", "seed_negative"):
+        bad = {"beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5},
+               "seed_negative": {"seed": -1}}[case]
+        path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], **bad})
         return ["train", "--task", "sentiment", "--config", str(path)]
     if "checkpoint" in case:
         if case == "non_checkpoint_file":
@@ -275,7 +280,12 @@ def bad_input_argv(tmp_path, case):
         return ["pipeline", "--config", str(path), "--input", corpus,
                 "--output", str(tmp_path / "out.jsonl")]
     if case.startswith("search_deltas"):
-        deltas = ["epochs"] if case.endswith("list") else {"epochs": 2}
+        deltas = {
+            "search_deltas_list": ["epochs"],
+            "search_deltas_int_values": {"epochs": 2},
+            "search_deltas_string_candidate": {"epochs": ["a"]},
+            "search_deltas_epochs_zero": {"epochs": [1, 0]},
+        }[case]
         path, _ = write_config(tmp_path, search={"deltas": deltas})
         return ["search", "--task", "sentiment", "--k", "2", "--config", str(path)]
     if case.startswith(("crossval", "search")):

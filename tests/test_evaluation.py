@@ -404,6 +404,33 @@ class TestRunPipeline:
         assert all(r.error or r.key_entities is not None for r in batched.documents)
 
     @pytest.mark.parametrize("mode", ["coarse", "fine"])
+    def test_outputs_do_not_depend_on_block_size(
+        self, sentiment_members, matcher_members, shared_vocab, monkeypatch, mode
+    ):
+        docs = []
+        for i, doc in enumerate(tiny_corpus(37, seed=5)):
+            text = doc.cleaned_text + " alpha beta" * (i % 5)  # rows of 8 and 12 positions
+            docs.append(replace(doc, raw_text=text, cleaned_text=text, tag="alpha"))
+        # An entity and a question too long for max_len 12: an encode error
+        # inside a block of 4 and of 16.
+        docs[9] = replace(docs[9], entity_list=["alpha " * 20, "alpha"], tag="beta " * 20)
+        stage2 = (
+            {"matcher_members": matcher_members}
+            if mode == "coarse"
+            else {"mrc_checkpoint": _span_checkpoint(shared_vocab)}
+        )
+        for members in (sentiment_members, _biased(sentiment_members, [50.0, 0.0])):
+            runs = []
+            for size in (1, 4, 16, len(docs)):
+                monkeypatch.setattr(finkey.evaluation, "_BLOCK_DOCS", size)
+                result = run_pipeline(docs, members, mode=mode, **stage2)
+                runs.append(([repr(r) for r in result.documents], result.counters))
+            assert all(run == runs[0] for run in runs[1:])
+        # The last runs had every document negative.
+        assert "first segment too long" in result.documents[9].error
+        assert result.counters["errors"] == 1
+
+    @pytest.mark.parametrize("mode", ["coarse", "fine"])
     def test_empty_input_and_all_positive_block(
         self, sentiment_members, matcher_members, shared_vocab, mode
     ):

@@ -54,6 +54,84 @@ class TestTokenize:
                 assert source == tok  # other characters stay verbatim
 
 
+def _is_word_char(ch: str) -> bool:
+    return "a" <= ch <= "z" or "A" <= ch <= "Z" or "0" <= ch <= "9"
+
+
+def reference_tokenize(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """The character-by-character scan that ``tokenize`` replaced, verbatim."""
+    tokens: list[tuple[str, tuple[int, int]]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if _is_word_char(ch):
+            j = i + 1
+            while j < n and _is_word_char(text[j]):
+                j += 1
+            tokens.append((text[i:j].lower(), (i, j)))
+            i = j
+        else:
+            tokens.append((ch, (i, i + 1)))
+            i += 1
+    return tokens
+
+
+# Unicode whitespace beyond ASCII, lone surrogates, and non-ASCII letters
+# that must stay as they are, mixed into arbitrary code points.
+EDGE_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\ud800\udfffÉéßİ aZ9,"
+edge_text = st.text(
+    alphabet=st.one_of(st.characters(exclude_categories=()), st.sampled_from(EDGE_CHARS)),
+    max_size=60,
+)
+
+
+def expected_encoding(segments, vocab, max_len):
+    """(ids, offsets) of [CLS] seg [SEP] ..., padded to max_len, from the
+    given token lists."""
+    ids, offsets = [CLS_ID], [None]
+    for tokens in segments:
+        ids += [vocab.lookup(t) for t, _ in tokens] + [SEP_ID]
+        offsets += [span for _, span in tokens] + [None]
+    pad = max_len - len(ids)
+    return tuple(ids + [PAD_ID] * pad), tuple(offsets + [None] * pad)
+
+
+class TestMatchesCharacterScan:
+    def test_edge_characters(self):
+        text = "\x1cÉa\x85B\u3000\ud800x1\x1fé"
+        assert tokenize(text) == reference_tokenize(text) == [
+            ("É", (1, 2)), ("a", (2, 3)), ("b", (4, 5)), ("\ud800", (6, 7)),
+            ("x1", (7, 9)), ("é", (10, 11)),
+        ]
+
+    @given(edge_text)
+    @settings(max_examples=400)
+    def test_tokenize(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @given(edge_text)
+    @settings(max_examples=150)
+    def test_encode_single_is_tokenize_then_slice(self, text):
+        tokens = reference_tokenize(text)
+        v = vocab_from_texts([text])
+        for max_len in range(3, len(tokens) + 4):
+            seq = encode_single(text, v, max_len)
+            assert (seq.ids, seq.offsets) == expected_encoding([tokens[: max_len - 2]], v, max_len)
+
+    @given(st.text(alphabet=EDGE_CHARS, max_size=4), edge_text)
+    @settings(max_examples=150)
+    def test_encode_pair_is_tokenize_then_slice(self, a, b):
+        a_tokens, b_tokens = reference_tokenize(a), reference_tokenize(b)
+        v = vocab_from_texts([a, b])
+        for max_len in range(max(4, len(a_tokens) + 3), len(a_tokens) + len(b_tokens) + 5):
+            seq = encode_pair(a, b, v, max_len)
+            kept = b_tokens[: max_len - 3 - len(a_tokens)]
+            assert (seq.ids, seq.offsets) == expected_encoding([a_tokens, kept], v, max_len)
+
+
 class TestBuildVocab:
     def test_empty_corpus(self):
         vocab = build_vocab([])

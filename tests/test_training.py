@@ -1,5 +1,10 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import finkey.training
 from finkey.corpus import Document, MrcExample, PairExample, SentimentLabel, clean_text
 from finkey.encoder import EncoderConfig, backward_batch, forward_batch
 from finkey.tasks import TASKS, FocalConfig, init_head
@@ -202,6 +208,36 @@ class TestTrain:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         assert r1.epoch_losses == r2.epoch_losses
         assert r1.checkpoint.dev_score == r2.checkpoint.dev_score
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Products of 512 x 64 x 256 and more, large enough for OpenBLAS to
+        # split them over its threads; dropout 0.1 as in the acceptance runs.
+        script = """if True:
+            import sys
+            from finkey.corpus import build_pair_dataset
+            from finkey.encoder import EncoderConfig
+            from finkey.synthetic import matcher_corpus
+            from finkey.training import TrainConfig, save_checkpoint, train
+
+            docs = matcher_corpus(80, seed=4)
+            train_set, _ = build_pair_dataset(docs[:60])
+            dev_set, _ = build_pair_dataset(docs[60:])
+            enc = EncoderConfig(vocab_size=4, d_model=64, n_heads=4, n_layers=2, d_ff=256,
+                                max_len=32)
+            cfg = TrainConfig(task="match", epochs=2, batch_size=16, learning_rate=1e-3,
+                              seed=4, max_len=32)
+            save_checkpoint(train(train_set, dev_set, cfg, encoder=enc).checkpoint, sys.argv[1])
+        """
+        src = str(Path(finkey.training.__file__).parents[1])
+        saved = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            path = tmp_path / f"blas-{threads}.ckpt"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                           timeout=300)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
     def test_zero_learning_rate_keeps_init(self, sentiment_sets):
         train_set, dev_set = sentiment_sets
@@ -404,8 +440,6 @@ class TestTrimmedTrainingStep:
 
     @pytest.mark.parametrize("task_name, rows", [("sentiment", 2), ("match", 2), ("mrc", None)])
     def test_pooled_tasks_cut_the_last_layer(self, monkeypatch, task_name, rows):
-        import finkey.training
-
         vocab = vocab_from_texts([" ".join(self.WORDS)])
         enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16,
                             max_len=20, dropout_rate=0.0)
@@ -673,3 +707,21 @@ class TestNeighborhoodSearch:
         docs = word_label_corpus(24)
         with pytest.raises(ValueError):
             neighborhood_search(small_cfg(), {"nope": [1]}, docs, 2)
+
+    @pytest.mark.parametrize(
+        "deltas, fragment",
+        [
+            ({"epochs": ["a"]}, "bad search candidate epochs='a'"),
+            ({"epochs": [1.5]}, "bad search candidate epochs=1.5"),
+            ({"epochs": [1, 0]}, "bad search candidate epochs=0"),
+            ({"batch_size": [4], "epochs": [1, 0]}, "bad search candidate epochs=0"),
+            ({"loss": ["focal"]}, "bad search candidate loss='focal'"),
+        ],
+    )
+    def test_bad_candidate_rejected_before_any_training(self, monkeypatch, deltas, fragment):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a grid config trained before the grid was validated")
+
+        monkeypatch.setattr(finkey.training, "cross_validate", no_training)
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            neighborhood_search(small_cfg(), deltas, word_label_corpus(24), 2)
