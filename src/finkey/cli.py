@@ -1,9 +1,10 @@
 """Command-line entry point wiring corpora, training, ensembles and evaluation.
 
 One JSON config file holds the per-task training sections plus paths,
-ensemble, pipeline and search settings; command-line flags override file
-values.  Reports embed the tool version, the config hash and the seed so
-every run is attributable.
+ensemble, pipeline and search settings; ``SETTINGS`` has a row for each of
+its keys, and every command checks the whole file against it before it
+reads a value.  Command-line flags override file values.  Reports embed
+the tool version, the config hash and the seed so every run is attributable.
 
 Exit codes: 0 success, 1 validation/data error, 2 configuration error,
 3 internal numerical failure.
@@ -16,8 +17,9 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .corpus import (
@@ -29,10 +31,11 @@ from .corpus import (
     build_pair_dataset,
     load_corpus,
 )
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, json_type
 from .evaluation import EnsembleSpec, ensemble_train_select, run_pipeline
-from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, FocalConfig, accuracy, entity_prf
-from .tokenizer import Vocab, load_vocab, save_vocab, vocab_from_texts
+from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, TASKS, FocalConfig, build_question
+from .tasks import accuracy, entity_prf
+from .tokenizer import load_vocab, save_vocab, vocab_from_texts
 from .training import (
     Checkpoint,
     NumericalError,
@@ -64,36 +67,151 @@ def _config_hash(cfg: dict | None) -> str | None:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _load_config(path: str | None) -> dict | None:
-    if path is None:
-        return None
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+# ---------------------------------------------------------------------------
+# The config file: one row per key
+# ---------------------------------------------------------------------------
+
+TRAINING = ("train", "crossval", "ensemble", "search")
+CONFIGURED = TRAINING + ("pipeline",)  # every command that reads --config
+
+
+class Setting(NamedTuple):
+    """A key of the config file: its JSON type, whether it may be null, its
+    default, a check that raises ValueError for a value out of range, and
+    the commands that read it.  The rows of a config dataclass's fields
+    name it as ``owner``; its ``__post_init__`` checks their values."""
+
+    section: str
+    key: str
+    type: str
+    nullable: bool
+    default: object
+    commands: tuple[str, ...]
+    check: Callable[[object], object] | None = None
+    owner: type | None = None
+
+
+def _owned(section: str, owner: type, skip: tuple[str, ...] = ()) -> list[Setting]:
+    return [Setting(section, f.name, *json_type(f), f.default, TRAINING, owner=owner)
+            for f in fields(owner) if f.name not in skip]
+
+
+def _rule(ok: Callable[[object], bool], rule: str) -> Callable[[object], None]:
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+    return check
+
+
+_SCHEMA = _rule(lambda value: value in SCHEMAS, f"one of {SCHEMAS}")
+SETTINGS = [
+    Setting("paths", "corpus", "string", True, None, TRAINING),
+    Setting("paths", "schema", "string", True, None, CONFIGURED, _SCHEMA),
+    Setting("paths", "vocab", "string", True, None, TRAINING),
+    Setting("paths", "checkpoints", "string", False, "checkpoints", ("train", "ensemble")),
+    *_owned("encoder", EncoderConfig, skip=("vocab_size",)),
+    *[row for task in TASKS for row in (
+        Setting(task, "corpus", "string", True, None, TRAINING),
+        Setting(task, "schema", "string", True, None, TRAINING, _SCHEMA),
+        Setting(task, "dev_split_k", "integer", False, 10, ("train", "ensemble"),
+                _rule(lambda k: k >= 2, ">= 2")),
+        *_owned(task, TrainConfig, skip=("task",)),
+        *_owned(f"{task}.focal", FocalConfig),
+    )],
+    Setting("mrc", "template", "string", False, DEFAULT_TEMPLATE, CONFIGURED,
+            lambda template: build_question("", template)),
+    Setting("mrc", "max_span_len", "integer", False, DEFAULT_MAX_SPAN_LEN, CONFIGURED,
+            _rule(lambda n: n >= 1, ">= 1")),
+    Setting("ensemble", "seeds", "list of integers", False, list(range(1, 13)), ("ensemble",)),
+    Setting("ensemble", "top_m", "integer", False, 10, ("ensemble",)),
+    Setting("pipeline", "mode", "string", False, "coarse", ("pipeline",),
+            _rule(lambda mode: mode in ("coarse", "fine"), "'coarse' or 'fine'")),
+    Setting("pipeline", "schema", "string", True, None, ("pipeline",), _SCHEMA),
+    Setting("pipeline", "match_threshold", "number", False, 0.5, ("pipeline",),
+            _rule(lambda t: 0 <= t <= 1, "in [0, 1]")),
+    Setting("pipeline", "sentiment_checkpoints", "list of strings", False, [], ("pipeline",)),
+    Setting("pipeline", "matcher_checkpoints", "list of strings", False, [], ("pipeline",)),
+    Setting("pipeline", "mrc_checkpoint", "string", True, None, ("pipeline",)),
+    Setting("pipeline", "lexicon", "string", True, None, ("pipeline",)),
+    Setting("search", "deltas", "object of lists", False, {}, ("search",)),
+]
+_JSON_TYPES = {
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float),
+    "list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "list of integers": lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    "object of lists": lambda v: isinstance(v, dict) and all(type(x) is list for x in v.values()),
+}
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a config dataclass's ValueError, which starts
+    with the name of the field at fault, is a ConfigError naming ``section.field``."""
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {section}.{exc}") from None
+
+
+def _read_section(section: str, data, values: dict) -> dict:
+    """Check one section and put each of its keys, with its value or
+    default, into ``values`` as ``section.key``.  Returns the values given
+    for keys a config dataclass owns, for that class to check."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"bad {section} section: expected a JSON object, got {data!r}")
+    rows = {row.key: row for row in SETTINGS if row.section == section}
+    for key, value in sorted(data.items()):
+        row = rows.get(key)
+        if row is None:
+            raise ConfigError(f"bad {section}.{key}: unknown key")
+        if row.owner is not None or (value is None and row.nullable):
+            continue
+        if not _JSON_TYPES[row.type](value):
+            article = "an" if row.type[0] in "aio" else "a"
+            raise ConfigError(f"bad {section}.{key}: expected {article} {row.type}, got {value!r}")
+        if row.check is not None:
+            try:
+                row.check(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad {section}.{key}: {exc}") from None
+    for key, row in rows.items():
+        values[f"{section}.{key}"] = data.get(key, row.default)
+    return {key: value for key, value in data.items() if rows[key].owner}
+
+
+def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]:
+    """The config file at ``path`` as read, for the report's hash, and its
+    checked values: each ``section.key`` of the table with its value or
+    default, each task with its TrainConfig (``seed``, when given, as its
+    seed), and ``encoder`` and ``ensemble`` with the objects built from them."""
+    if path is None:
+        raise ConfigError("this command requires --config")
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    _check(isinstance(cfg, dict), "config file", cfg, "a JSON object")
-    return cfg
-
-
-def _require_config(cfg: dict | None) -> dict:
-    if cfg is None:
-        raise ConfigError("this command requires --config")
-    return cfg
-
-
-def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name, {})
-    _check(isinstance(section, dict), f"{name} section", section, "a JSON object")
-    return section
-
-
-def _check(ok: bool, setting: str, value, expected: str) -> None:
-    """A configuration error naming ``setting`` unless ``ok``."""
-    if not ok:
-        raise ConfigError(f"bad {setting}: expected {expected}, got {value!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"bad config file: expected a JSON object, got {raw!r}")
+    sections = dict.fromkeys(row.section for row in SETTINGS if "." not in row.section)
+    unknown = sorted(raw.keys() - sections.keys())
+    if unknown:
+        raise ConfigError(f"bad {unknown[0]}: unknown section")
+    values: dict = {}
+    owned = {name: _read_section(name, raw.get(name, {}), values) for name in sections}
+    for task in TASKS:
+        kwargs = owned[task]
+        if kwargs.get("focal") is not None:
+            focal = _read_section(f"{task}.focal", kwargs["focal"], values)
+            kwargs["focal"] = _build(f"{task}.focal", FocalConfig, **focal)
+        if seed is not None:
+            kwargs["seed"] = seed
+        values[task] = _build(task, TrainConfig, task=task, **kwargs)
+    # A stand-in vocab_size: train sets the real one from its vocabulary.
+    values["encoder"] = _build("encoder", EncoderConfig, vocab_size=4, **owned["encoder"])
+    seeds, top_m = tuple(values["ensemble.seeds"]), values["ensemble.top_m"]
+    values["ensemble"] = _build("ensemble", EnsembleSpec, seeds, top_m)
+    return raw, values
 
 
 def _write_report(report: dict, path: str | None) -> None:
@@ -116,65 +234,19 @@ def _provenance(cfg: dict | None, seed) -> dict:
     }
 
 
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__) - {"task", "focal"}
-
-
-def _train_config(cfg: dict, task: str, seed_override: int | None) -> TrainConfig:
-    section = _section(cfg, task)
-    kwargs = {k: v for k, v in section.items() if k in _TRAIN_FIELDS}
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        focal = section.get("focal")
-        if focal is not None:
-            kwargs["focal"] = FocalConfig(**focal)
-        return TrainConfig(task=task, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {task} training section: {exc}") from None
-
-
-def _encoder_config(cfg: dict) -> EncoderConfig | None:
-    section = cfg.get("encoder")
-    if section is None:
-        return None
-    try:
-        # vocab_size is derived from the built vocabulary during training.
-        return EncoderConfig(vocab_size=4, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad encoder section: {exc}") from None
-
-
-def _task_corpus(cfg: dict, task: str) -> tuple[str, str]:
-    section = _section(cfg, task)
-    paths = _section(cfg, "paths")
-    corpus = section.get("corpus", paths.get("corpus"))
-    schema = section.get("schema", paths.get("schema"))
-    if corpus is None or schema is None:
-        raise ConfigError(f"no corpus/schema configured for task {task!r}")
-    if schema not in SCHEMAS:
-        raise ConfigError(f"unknown schema {schema!r}")
-    if not Path(corpus).exists():
-        raise ConfigError(f"corpus file not found: {corpus}")
-    return corpus, schema
-
-
-def _mrc_settings(cfg: dict) -> dict:
-    """The checked template and max_span_len of the mrc section, by name."""
-    section = _section(cfg, "mrc")
-    template = section.get("template", DEFAULT_TEMPLATE)
-    max_span_len = section.get("max_span_len", DEFAULT_MAX_SPAN_LEN)
-    _check(isinstance(template, str) and template.count("{tag}") == 1,
-           "mrc.template", template, "a string with exactly one {tag}")
-    _check(type(max_span_len) is int and max_span_len >= 1,
-           "mrc.max_span_len", max_span_len, "an integer >= 1")
-    return {"template": template, "max_span_len": max_span_len}
-
-
-def _train_kwargs(cfg: dict, task: str) -> dict:
-    """train's settings from the config besides the TrainConfig."""
-    kwargs = dict(encoder=_encoder_config(cfg), vocab=_explicit_vocab(cfg))
+def _train_kwargs(values: dict, task: str) -> dict:
+    """train's settings from the config besides the TrainConfig.  Checkpoints
+    that feed one pipeline must share a vocabulary: build-vocab once and set
+    paths.vocab.  Without it each run builds one from its training split."""
+    kwargs = dict(encoder=values["encoder"], vocab=None)
+    path = values["paths.vocab"]
+    if path is not None:
+        try:
+            kwargs["vocab"] = load_vocab(path)
+        except ValueError as exc:
+            raise ConfigError(f"bad vocab file {path}: {exc}") from None
     if task == "mrc":
-        kwargs["max_span_len"] = _mrc_settings(cfg)["max_span_len"]
+        kwargs["max_span_len"] = values["mrc.max_span_len"]
     return kwargs
 
 
@@ -189,10 +261,13 @@ def _load_docs_strict(corpus_path: str, schema: str) -> list[Document]:
     return docs
 
 
-def _task_dataset(cfg: dict, task: str):
-    """Load and derive the training dataset for a task; returns (dataset, extras)."""
-    corpus_path, schema = _task_corpus(cfg, task)
-    docs = _load_docs_strict(corpus_path, schema)
+def _task_dataset(values: dict, task: str):
+    """Load and derive the training dataset for a task."""
+    corpus = values[f"{task}.corpus"] or values["paths.corpus"]
+    schema = values[f"{task}.schema"] or values["paths.schema"]
+    if corpus is None or schema is None:
+        raise ConfigError(f"no corpus/schema configured for task {task!r}")
+    docs = _load_docs_strict(corpus, schema)
     if task == "sentiment":
         missing = [d.id for d in docs if d.sentiment is None]
         if missing:
@@ -212,7 +287,7 @@ def _task_dataset(cfg: dict, task: str):
         if skipped:
             logger.warning("skipped %d documents without entity lists", skipped)
         return pairs
-    examples, dropped = build_mrc_dataset(docs, _mrc_settings(cfg)["template"])
+    examples, dropped = build_mrc_dataset(docs, values["mrc.template"])
     labeled = [e for e in examples if e.answer is not None]
     if not labeled:
         raise CorpusError("corpus yields no answerable extraction examples")
@@ -230,41 +305,21 @@ def _document_folds(dataset, k: int, seed: int, setting: str):
         raise ConfigError(f"bad {setting}: {exc}") from None
 
 
-def _holdout_split(dataset, cfg: dict, task: str, seed: int):
+def _holdout_split(dataset, values: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
-    k = _section(cfg, task).get("dev_split_k", 10)
-    _check(type(k) is int, f"{task}.dev_split_k", k, "an integer")
-    split = _document_folds(dataset, k, seed, f"{task}.dev_split_k")
+    setting = f"{task}.dev_split_k"
+    split = _document_folds(dataset, values[setting], seed, setting)
     dev_idx = set(split.folds[0])
     train_set = [dataset[i] for i in range(len(dataset)) if i not in dev_idx]
     dev_set = [dataset[i] for i in split.folds[0]]
     return train_set, dev_set
 
 
-def _checkpoint_dir(cfg: dict) -> Path:
-    path = Path(_section(cfg, "paths").get("checkpoints", "checkpoints"))
+def _checkpoint_dir(values: dict) -> Path:
+    path = Path(values["paths.checkpoints"])
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _explicit_vocab(cfg: dict) -> Vocab | None:
-    """Shared vocabulary from paths.vocab, when configured.
-
-    Checkpoints that feed one pipeline must share a vocabulary, so the
-    intended flow is build-vocab once, then train every task against it.
-    Without this setting each training run builds its vocabulary from its
-    own training split.
-    """
-    path = _section(cfg, "paths").get("vocab")
-    if path is None:
-        return None
-    if not Path(path).exists():
-        raise ConfigError(f"vocab file not found: {path}")
-    try:
-        return load_vocab(path)
-    except ValueError as exc:
-        raise ConfigError(f"bad vocab file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +351,12 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _require_config(_load_config(args.config))
-    tc = _train_config(cfg, args.task, args.seed)
-    dataset = _task_dataset(cfg, args.task)
-    train_set, dev_set = _holdout_split(dataset, cfg, args.task, tc.seed)
-    result = train(train_set, dev_set, tc, **_train_kwargs(cfg, args.task))
-    ckpt_path = _checkpoint_dir(cfg) / f"{args.task}-seed{tc.seed}.ckpt"
+    cfg, values = _load_config(args.config, args.seed)
+    tc = values[args.task]
+    dataset = _task_dataset(values, args.task)
+    train_set, dev_set = _holdout_split(dataset, values, args.task, tc.seed)
+    result = train(train_set, dev_set, tc, **_train_kwargs(values, args.task))
+    ckpt_path = _checkpoint_dir(values) / f"{args.task}-seed{tc.seed}.ckpt"
     save_checkpoint(result.checkpoint, ckpt_path)
     report = {
         "task": args.task,
@@ -323,11 +378,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    cfg = _require_config(_load_config(args.config))
-    tc = _train_config(cfg, args.task, args.seed)
-    dataset = _task_dataset(cfg, args.task)
+    cfg, values = _load_config(args.config, args.seed)
+    tc = values[args.task]
+    dataset = _task_dataset(values, args.task)
     _document_folds(dataset, args.k, tc.seed, "--k")
-    result = cross_validate(dataset, tc, args.k, **_train_kwargs(cfg, args.task))
+    result = cross_validate(dataset, tc, args.k, **_train_kwargs(values, args.task))
     report = {
         "task": args.task,
         "k": args.k,
@@ -344,21 +399,14 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _require_config(_load_config(args.config))
-    tc = _train_config(cfg, args.task, args.seed)
-    section = _section(cfg, "ensemble")
-    seeds, top_m = section.get("seeds", list(range(1, 13))), section.get("top_m", 10)
-    _check(isinstance(seeds, list) and all(type(s) is int for s in seeds),
-           "ensemble.seeds", seeds, "a list of integers")
-    _check(type(top_m) is int, "ensemble.top_m", top_m, "an integer")
-    try:
-        spec = EnsembleSpec(seeds=tuple(seeds), top_m=top_m)
-    except ValueError as exc:
-        raise ConfigError(f"bad ensemble section: {exc}") from None
-    dataset = _task_dataset(cfg, args.task)
-    train_set, dev_set = _holdout_split(dataset, cfg, args.task, tc.seed)
-    members = ensemble_train_select(train_set, dev_set, tc, spec, **_train_kwargs(cfg, args.task))
-    ckpt_dir = _checkpoint_dir(cfg)
+    cfg, values = _load_config(args.config, args.seed)
+    tc = values[args.task]
+    spec = values["ensemble"]
+    dataset = _task_dataset(values, args.task)
+    train_set, dev_set = _holdout_split(dataset, values, args.task, tc.seed)
+    kwargs = _train_kwargs(values, args.task)
+    members = ensemble_train_select(train_set, dev_set, tc, spec, **kwargs)
+    ckpt_dir = _checkpoint_dir(values)
     paths = []
     for member in members:
         path = ckpt_dir / f"{args.task}-seed{member.seed}.ckpt"
@@ -380,59 +428,32 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoints(paths, expected_kind: str) -> list[Checkpoint]:
+def _load_checkpoints(paths) -> list[Checkpoint]:
     loaded = []
     for path in paths:
-        if not Path(path).exists():
-            raise ConfigError(f"checkpoint not found: {path}")
         try:
-            ckpt = load_checkpoint(path)
+            loaded.append(load_checkpoint(path))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if ckpt.head_kind != expected_kind:
-            raise ConfigError(
-                f"{path}: expected a {expected_kind} checkpoint, found {ckpt.head_kind}"
-            )
-        loaded.append(ckpt)
     return loaded
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _require_config(_load_config(args.config))
-    section = _section(cfg, "pipeline")
-    mode = section.get("mode", "coarse")
-    if mode not in ("coarse", "fine"):
-        raise ConfigError("pipeline.mode must be 'coarse' or 'fine'")
-    threshold = section.get("match_threshold", 0.5)
-    _check(type(threshold) in (int, float) and 0 <= threshold <= 1,
-           "pipeline.match_threshold", threshold, "a number in [0, 1]")
-    fine = _mrc_settings(cfg) if mode == "fine" else {}
-    schema = section.get("schema", _section(cfg, "paths").get("schema"))
+    cfg, values = _load_config(args.config)
+    mode = values["pipeline.mode"]
+    schema = values["pipeline.schema"] or values["paths.schema"]
     if schema is None:
         schema = "dataset-1" if mode == "coarse" else "dataset-2"
     docs = _load_docs_strict(args.input, schema)
-
-    sentiment_members = _load_checkpoints(
-        section.get("sentiment_checkpoints", []), "sentiment"
-    )
-    if not sentiment_members:
-        raise ConfigError("pipeline.sentiment_checkpoints must list at least one path")
+    sentiment_members = _load_checkpoints(values["pipeline.sentiment_checkpoints"])
     matcher_members = None
-    mrc_checkpoint = None
     if mode == "coarse":
-        matcher_members = _load_checkpoints(
-            section.get("matcher_checkpoints", []), "match"
-        )
-        if not matcher_members:
-            raise ConfigError("coarse pipeline needs pipeline.matcher_checkpoints")
-    else:
-        path = section.get("mrc_checkpoint")
-        if path is None:
-            raise ConfigError("fine pipeline needs pipeline.mrc_checkpoint")
-        mrc_checkpoint = _load_checkpoints([path], "span")[0]
+        matcher_members = _load_checkpoints(values["pipeline.matcher_checkpoints"])
+    mrc_path = values["pipeline.mrc_checkpoint"]
+    mrc_checkpoint = _load_checkpoints([mrc_path])[0] if mode == "fine" and mrc_path else None
 
     lexicon = None
-    lexicon_path = section.get("lexicon")
+    lexicon_path = values["pipeline.lexicon"]
     if lexicon_path is not None:
         try:
             entries = Path(lexicon_path).read_text(encoding="utf-8").splitlines()
@@ -440,32 +461,29 @@ def cmd_pipeline(args) -> int:
             raise ConfigError(f"bad pipeline.lexicon {lexicon_path}: {exc}") from None
         lexicon = Lexicon.from_strings(entries)
 
-    result = run_pipeline(
-        docs,
-        sentiment_members,
-        mode=mode,
-        matcher_members=matcher_members,
-        mrc_checkpoint=mrc_checkpoint,
-        match_threshold=threshold,
-        lexicon=lexicon,
-        **fine,
-    )
+    try:  # run_pipeline checks its arguments before it reads a document
+        result = run_pipeline(
+            docs,
+            sentiment_members,
+            mode=mode,
+            matcher_members=matcher_members,
+            mrc_checkpoint=mrc_checkpoint,
+            match_threshold=values["pipeline.match_threshold"],
+            template=values["mrc.template"],
+            lexicon=lexicon,
+            max_span_len=values["mrc.max_span_len"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad pipeline section: {exc}") from None
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
         for doc in result.documents:
-            record: dict = {
-                "id": doc.doc_id,
-                "sentiment": doc.sentiment.value,
-                "prob_negative": doc.prob_negative,
-            }
-            if doc.key_entities is not None:
-                record["key_entities"] = doc.key_entities
-            if doc.span_text is not None:
-                record["span"] = doc.span_text
-            if doc.error is not None:
-                record["error"] = doc.error
+            record = {"id": doc.doc_id, "sentiment": doc.sentiment.value,
+                      "prob_negative": doc.prob_negative, "key_entities": doc.key_entities,
+                      "span": doc.span_text, "error": doc.error}
+            record = {key: v for key, v in record.items() if v is not None}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     report = {
@@ -499,6 +517,12 @@ def _read_predictions(path: str) -> dict[str, dict]:
                 raise CorpusError(f"{path}: line {lineno} lacks an id")
             if doc_id in preds:
                 raise CorpusError(f"{path}: duplicate prediction id {doc_id!r}")
+            entities, span = record.get("key_entities"), record.get("span")
+            if not (entities is None or isinstance(entities, list)
+                    and all(isinstance(e, str) for e in entities)):
+                raise CorpusError(f"{path}: line {lineno}: key_entities must be a list of strings")
+            if not (span is None or isinstance(span, str)):
+                raise CorpusError(f"{path}: line {lineno}: span must be a string")
             preds[doc_id] = record
     return preds
 
@@ -555,15 +579,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _require_config(_load_config(args.config))
-    tc = _train_config(cfg, args.task, args.seed)
-    deltas = _section(cfg, "search").get("deltas", {})
-    _check(isinstance(deltas, dict) and all(isinstance(v, list) for v in deltas.values()),
-           "search.deltas", deltas, "a JSON object of candidate lists")
-    dataset = _task_dataset(cfg, args.task)
+    cfg, values = _load_config(args.config, args.seed)
+    tc = values[args.task]
+    dataset = _task_dataset(values, args.task)
     _document_folds(dataset, args.k, tc.seed, "--k")
+    deltas, kwargs = values["search.deltas"], _train_kwargs(values, args.task)
     try:
-        result = neighborhood_search(tc, deltas, dataset, args.k, **_train_kwargs(cfg, args.task))
+        result = neighborhood_search(tc, deltas, dataset, args.k, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     report = {

@@ -46,9 +46,10 @@ untrained counterpart for baseline classifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import Field, asdict, dataclass, field, fields
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -64,6 +65,34 @@ _INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
 # every product stays a gemm and the [CLS] row stays bit-identical.
 POOLED_ROWS = 2
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+_ANNOTATION_TYPES = {"int": "integer", "float": "number", "str": "string"}
+_ADMITS = {"integer": numbers.Integral, "number": numbers.Real, "string": str}
+
+
+def json_type(f: Field) -> tuple[str, bool]:
+    """The JSON type of a config dataclass field, ``integer``, ``number``,
+    ``string`` or (a nested config) ``object``, and whether it may be null."""
+    inner = f.type.removeprefix("Optional[").removesuffix("]")
+    return _ANNOTATION_TYPES.get(inner, "object"), inner != f.type
+
+
+def check_config(config, rules: Callable[[], Iterable[tuple[str, bool, str]]]) -> None:
+    """A ValueError for the first field of a config dataclass whose value is
+    not of its JSON type, else for the first (field, holds, rule) of
+    ``rules()`` that does not hold; each starts with the field's name.  A
+    bool is not a number; an int passes as a number and is kept as it is,
+    so dicts and checkpoint headers keep their bytes."""
+    for f in fields(config):
+        kind, nullable = json_type(f)
+        value = getattr(config, f.name)
+        if kind == "object" or (nullable and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, _ADMITS[kind]):
+            raise ValueError(f"{f.name}: expected {'an' if kind == 'integer' else 'a'} {kind}, "
+                             f"got {value!r}")
+    for name, holds, rule in rules():
+        if not holds:
+            raise ValueError(f"{name}: must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -78,16 +107,15 @@ class EncoderConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.vocab_size < 4:
-            raise ValueError("vocab_size must cover the four reserved ids")
-        if min(self.d_model, self.n_heads, self.n_layers, self.d_ff, self.max_len) < 1:
-            raise ValueError("all encoder dimensions must be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
+        dims = ("d_model", "n_heads", "n_layers", "d_ff", "max_len")
+        check_config(self, lambda: [
+            ("vocab_size", self.vocab_size >= 4, ">= 4, the reserved ids"),
+            *((name, getattr(self, name) >= 1, ">= 1") for name in dims),
+            ("d_model", self.n_heads >= 1 and self.d_model % self.n_heads == 0,
+             "divisible by n_heads"),
+            ("dropout_rate", 0.0 <= self.dropout_rate < 1.0, "in [0, 1)"),
+            ("dtype", self.dtype in _DTYPES, f"one of {sorted(_DTYPES)}"),
+        ])
 
     @property
     def np_dtype(self):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .corpus import Document, Lexicon, MrcExample, PairExample, SentimentLabel, rule_match_entities
+from .encoder import check_config
 from .tasks import (
     DEFAULT_MAX_SPAN_LEN,
     DEFAULT_TEMPLATE,
@@ -38,10 +39,11 @@ class EnsembleSpec:
     top_m: int = 10
 
     def __post_init__(self):
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("ensemble seeds must be distinct")
-        if not 1 <= self.top_m <= len(self.seeds):
-            raise ValueError("need 1 <= top_m <= number of seeds")
+        check_config(self, lambda: [
+            ("seeds", len(set(self.seeds)) == len(self.seeds), "distinct"),
+            ("seeds", min(self.seeds, default=0) >= 0, ">= 0"),
+            ("top_m", 1 <= self.top_m <= len(self.seeds), "in [1, number of seeds]"),
+        ])
 
 
 def ensemble_train_select(

@@ -27,6 +27,7 @@ from .corpus import Document, MrcExample, PairExample, SentimentLabel
 from .encoder import (
     EncoderConfig,
     EncoderParams,
+    check_config,
     forward_inference,
     inference_length,
     weight_grad,
@@ -98,10 +99,10 @@ class FocalConfig:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_config(self, lambda: [
+            ("gamma", self.gamma >= 0, ">= 0"),
+            ("alpha", self.alpha is None or 0.0 < self.alpha < 1.0, "in (0, 1)"),
+        ])
 
 
 @dataclass(frozen=True)

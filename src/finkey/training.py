@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import product
@@ -30,6 +29,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     backward_batch,
+    check_config,
     forward_batch,
     inference_length,
     init_params,
@@ -75,32 +75,22 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {tuple(TASKS)}")
-        for name in ("epochs", "batch_size", "seed", "max_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-        if self.loss not in ("cross_entropy", "focal"):
-            raise ValueError("loss must be 'cross_entropy' or 'focal'")
-        if self.loss == "focal" and self.task != "match":
-            raise ValueError("focal loss applies to the match task only")
-        if self.max_len < 4:
-            raise ValueError("max_len must be >= 4")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be > 0")
+        check_config(self, lambda: [
+            ("task", self.task in TASKS, f"one of {tuple(TASKS)}"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("learning_rate", self.learning_rate >= 0, ">= 0"),
+            ("threshold", 0.0 <= self.threshold <= 1.0, "in [0, 1]"),
+            ("loss", self.loss in ("cross_entropy", "focal"), "'cross_entropy' or 'focal'"),
+            ("loss", self.loss != "focal" or self.task == "match",
+             "'cross_entropy' outside the match task"),
+            ("max_len", self.max_len >= 4, ">= 4"),
+            ("clip_norm", self.clip_norm > 0, "> 0"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+        ])
 
     def focal_config(self) -> FocalConfig:
         """Effective binary-loss settings for the match task."""

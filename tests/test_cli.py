@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finkey.cli import main
+from finkey.cli import SETTINGS, TRAINING, _load_config, main
 from finkey.corpus import save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
@@ -122,7 +129,7 @@ class TestBuildVocab:
 
 # Bad inputs: (expected exit code, fragment of the one-line message).
 BAD_INPUTS = {
-    "unknown_focal_key": (2, "bad match training section"),
+    "unknown_focal_key": (2, "bad match.focal.beta: unknown key"),
     "malformed_vocab": (2, "bad vocab file"),
     "non_checkpoint_file": (2, "not a checkpoint file"),
     "malformed_predictions": (1, "not valid JSON"),
@@ -139,9 +146,12 @@ BAD_INPUTS = {
     "truncated_checkpoint": (2, "tensor section is"),
     "checkpoint_missing_tensor": (2, "tensor index differs"),
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
-    "beta2_one": (2, "beta1 and beta2 must lie in [0, 1)"),
-    "epochs_float": (2, "bad sentiment training section: epochs must be an integer, got 1.5"),
-    "seed_negative": (2, "bad sentiment training section: seed must be >= 0"),
+    "beta2_one": (2, "bad sentiment.beta2: must be in [0, 1)"),
+    "epochs_float": (2, "bad sentiment.epochs: expected an integer, got 1.5"),
+    "seed_negative": (2, "bad sentiment.seed: must be >= 0"),
+    "learning_rate_true": (2, "bad sentiment.learning_rate: expected a number, got True"),
+    "sentiment_epoch_misspelled": (2, "bad sentiment.epoch: unknown key"),
+    "paths_checkpoints_int": (2, "bad paths.checkpoints: expected a string, got 5"),
     "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
     "config_top_level_list": (2, "bad config file: expected a JSON object"),
     "task_section_list": (2, "bad sentiment section: expected a JSON object"),
@@ -156,12 +166,22 @@ BAD_INPUTS = {
     "train_mrc_max_span_len_zero": (2, "bad mrc.max_span_len"),
     "fine_pipeline_template_without_tag": (2, "bad mrc.template"),
     "fine_pipeline_max_span_len_zero": (2, "bad mrc.max_span_len"),
+    "pipeline_lexicon_int": (2, "bad pipeline.lexicon: expected a string, got 5"),
+    "pipeline_sentiment_checkpoints_string": (
+        2, "bad pipeline.sentiment_checkpoints: expected a list of strings"),
+    "pipeline_match_treshold_misspelled": (2, "bad pipeline.match_treshold: unknown key"),
+    "pipeline_schema_bogus": (2, "bad pipeline.schema: must be one of"),
+    "fine_pipeline_mrc_checkpoint_list": (2, "bad pipeline.mrc_checkpoint: expected a string"),
+    "pipeline_vocab_mismatch": (2, "do not share a vocabulary"),
+    "evaluate_key_entities_int": (1, "preds.jsonl: line 1: key_entities must be a list of strings"),
+    "evaluate_key_entities_string": (1, "preds.jsonl: line 1: key_entities must be a list of strings"),
+    "evaluate_span_list": (1, "preds.jsonl: line 1: span must be a string"),
 }
 
-def write_checkpoint(path, kind):
-    """A small untrained checkpoint of a head kind over one shared
-    vocabulary; its sentiment head calls every document negative."""
-    vocab = vocab_from_texts(["alpha beta"])
+def write_checkpoint(path, kind, text="alpha beta"):
+    """A small untrained checkpoint of a head kind over the vocabulary of
+    ``text``; its sentiment head calls every document negative."""
+    vocab = vocab_from_texts([text])
     enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_len=64)
     head = init_head(kind, enc.d_model, np.random.default_rng(0))
     if kind == "sentiment":
@@ -232,6 +252,31 @@ def bad_input_argv(tmp_path, case):
         write_config(tmp_path, pipeline=[])
         return ["pipeline", "--config", str(tmp_path / "config.json"), "--input", corpus,
                 "--output", str(tmp_path / "out.jsonl")]
+    pipeline_settings = {
+        "pipeline_lexicon_int": ("coarse", {"lexicon": 5}),
+        "pipeline_sentiment_checkpoints_string": ("coarse", {"sentiment_checkpoints": corpus}),
+        "pipeline_match_treshold_misspelled": ("coarse", {"match_treshold": 0.9}),
+        "pipeline_schema_bogus": ("coarse", {"schema": "bogus"}),
+        "fine_pipeline_mrc_checkpoint_list": ("fine", {"mrc_checkpoint": [1]}),
+        "pipeline_vocab_mismatch": ("coarse", {}),
+    }
+    if case in pipeline_settings:
+        mode, settings = pipeline_settings[case]
+        argv = pipeline_argv(tmp_path, mode, **settings)
+        if case == "pipeline_vocab_mismatch":
+            write_checkpoint(tmp_path / "match.ckpt", "match", text="gamma delta")
+        return argv
+    if case.startswith("evaluate_"):
+        gold = {"id": "a", "text": "Acme fell", "entity_list": ["Acme"], "key_entities": ["Acme"]}
+        (tmp_path / "gold.jsonl").write_text(json.dumps(gold) + "\n", encoding="utf-8")
+        pred = {"id": "a", "sentiment": "negative", **{
+            "evaluate_key_entities_int": {"key_entities": 5},
+            "evaluate_key_entities_string": {"key_entities": "Acme"},
+            "evaluate_span_list": {"span": ["Acme"]},
+        }[case]}
+        (tmp_path / "preds.jsonl").write_text(json.dumps(pred) + "\n", encoding="utf-8")
+        return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"),
+                "--gold", str(tmp_path / "gold.jsonl"), "--task", "entities"]
     if case.startswith("pipeline_match_threshold"):
         return pipeline_argv(tmp_path, "coarse", match_threshold=1.5 if "above" in case else "0.5")
     if case == "pipeline_lexicon_invalid_utf8":
@@ -262,9 +307,15 @@ def bad_input_argv(tmp_path, case):
         (tmp_path / "bad.jsonl").write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
         path, _ = write_config(tmp_path, paths={**paths, "corpus": str(tmp_path / "bad.jsonl")})
         return ["train", "--task", "sentiment", "--config", str(path)]
-    if case in ("beta2_one", "epochs_float", "seed_negative"):
-        bad = {"beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5},
-               "seed_negative": {"seed": -1}}[case]
+    if case == "paths_checkpoints_int":
+        path, _ = write_config(tmp_path, paths={**paths, "checkpoints": 5})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    sentiment_settings = {
+        "beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5}, "seed_negative": {"seed": -1},
+        "learning_rate_true": {"learning_rate": True}, "sentiment_epoch_misspelled": {"epoch": 500},
+    }
+    if case in sentiment_settings:
+        bad = sentiment_settings[case]
         path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], **bad})
         return ["train", "--task", "sentiment", "--config", str(path)]
     if "checkpoint" in case:
@@ -314,6 +365,89 @@ def test_bad_input_exit_code_and_message(sentiment_setup, tmp_path, capsys, case
     code, fragment = BAD_INPUTS[case]
     assert main(bad_input_argv(tmp_path, case)) == code
     assert fragment in capsys.readouterr().err.splitlines()[-1]
+
+
+# For each JSON type of the table, values of the other types.
+BOOLS, TEXT = st.booleans(), st.text(max_size=5)
+INTS, FLOATS = st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False)
+LISTS = st.lists(INTS | TEXT, max_size=3)
+OBJECTS = st.dictionaries(TEXT, INTS | TEXT, max_size=3)
+NOT_OF_TYPE = {
+    "string": BOOLS | INTS | FLOATS | LISTS | OBJECTS,
+    "integer": BOOLS | FLOATS | TEXT | LISTS | OBJECTS,
+    "number": BOOLS | TEXT | LISTS | OBJECTS,
+    "object": BOOLS | INTS | FLOATS | TEXT | LISTS,
+    "list of strings": BOOLS | INTS | TEXT | OBJECTS
+    | st.tuples(st.lists(TEXT, max_size=2), INTS | BOOLS).map(lambda t: t[0] + [t[1]]),
+    "list of integers": BOOLS | INTS | TEXT | OBJECTS
+    | st.tuples(st.lists(INTS, max_size=2), FLOATS | TEXT | BOOLS).map(lambda t: t[0] + [t[1]]),
+    "object of lists": BOOLS | INTS | TEXT | LISTS
+    | st.dictionaries(TEXT, INTS | TEXT, min_size=1, max_size=2),
+}
+
+
+def bad_values(row):
+    """Values of another JSON type than the row's, null where it may not be
+    null, and values out of range: no number of the table may be negative,
+    and every string with a check, or owned by a config dataclass, is one of
+    a few or holds one {tag}."""
+    wrong = NOT_OF_TYPE[row.type] if row.nullable else NOT_OF_TYPE[row.type] | st.none()
+    if row.type == "integer":
+        return wrong | st.integers(max_value=-1)
+    if row.type == "number":
+        return wrong | st.integers(max_value=-1) | st.floats(max_value=-1.0, allow_infinity=False)
+    if row.type == "list of integers":
+        return wrong | st.lists(st.integers(max_value=-1), min_size=1, max_size=3)
+    if row.type == "string" and (row.check or row.owner):
+        return wrong | st.from_regex(r"bogus[a-z]{0,3}", fullmatch=True)
+    return wrong
+
+
+def with_setting(cfg, row, value):
+    """``cfg`` with ``row``'s key set to ``value``, its sections created."""
+    section = cfg
+    for name in row.section.split("."):
+        section[name] = dict(section.get(name) or {})
+        section = section[name]
+    section[row.key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("row", SETTINGS, ids=lambda row: f"{row.section}.{row.key}")
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_setting_rejects_a_bad_value(row, data):
+    """A wrong-typed or out-of-range value of any key exits 2 before any
+    work, with one last line naming the key."""
+    value = data.draw(bad_values(row), label=f"{row.section}.{row.key}")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path, cfg = write_config(tmp)
+        path.write_text(json.dumps(with_setting(cfg, row, value)), encoding="utf-8")
+        command = row.commands[0]
+        argv = [command, "--config", str(path), "--report", str(tmp / "report.json")]
+        if command in TRAINING:
+            task = row.section.split(".")[0]
+            argv += ["--task", task if task in ("sentiment", "match", "mrc") else "sentiment"]
+        if command == "pipeline":
+            argv += ["--input", str(tmp / "corpus.jsonl"), "--output", str(tmp / "out.jsonl")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert f"{row.section}.{row.key}" in err.getvalue().splitlines()[-1]
+        assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
+
+
+def test_readme_config_passes_and_names_every_key(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "config.json").write_text(example, encoding="utf-8")
+    _, values = _load_config(str(tmp_path / "config.json"))
+    assert values["pipeline.mode"] == "coarse"
+    unnamed = {row.key for row in SETTINGS if f"`{row.key}`" not in section
+               and f'"{row.key}"' not in section}
+    assert not unnamed
 
 
 class TestTrainCommand:

@@ -97,6 +97,28 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(task="sentiment", **{field: value})
 
+    @pytest.mark.parametrize(
+        "config, field, value",
+        [(TrainConfig, "learning_rate", True), (TrainConfig, "learning_rate", ["x"]),
+         (TrainConfig, "epochs", 2.0), (TrainConfig, "loss", 5), (TrainConfig, "threshold", None),
+         (FocalConfig, "gamma", False), (FocalConfig, "alpha", "0.5"),
+         (EncoderConfig, "dropout_rate", True), (EncoderConfig, "dtype", 32)],
+    )
+    def test_wrong_json_type_names_field(self, config, field, value):
+        fixed = {TrainConfig: {"task": "sentiment"}, EncoderConfig: {"vocab_size": 8}}
+        with pytest.raises(ValueError, match=f"^{field}: expected an? "):
+            config(**fixed.get(config, {}), **{field: value})
+
+    def test_int_passes_as_number_unconverted(self):
+        cfg = TrainConfig(task="match", learning_rate=1, focal=FocalConfig(gamma=2), clip_norm=3)
+        assert [type(v) for v in (cfg.learning_rate, cfg.focal.gamma, cfg.clip_norm)] == [int] * 3
+        assert json.dumps(cfg.to_dict()) == json.dumps(TrainConfig.from_dict(cfg.to_dict()).to_dict())
+
+    @pytest.mark.parametrize("field", ["d_model", "n_heads", "n_layers", "d_ff", "max_len"])
+    def test_encoder_dimension_below_one_names_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be >= 1"):
+            EncoderConfig(vocab_size=8, **{field: 0})
+
     def test_round_trip_dict(self):
         cfg = TrainConfig(
             task="match", loss="focal", focal=FocalConfig(1.5, alpha=0.3), seed=4
