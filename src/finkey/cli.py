@@ -109,7 +109,8 @@ SETTINGS = [
     Setting("paths", "schema", "string", True, None, CONFIGURED, _SCHEMA),
     Setting("paths", "vocab", "string", True, None, TRAINING),
     Setting("paths", "checkpoints", "string", False, "checkpoints", ("train", "ensemble")),
-    *_owned("encoder", EncoderConfig, skip=("vocab_size",)),
+    # Each task section's max_len is the one place the length is set.
+    *_owned("encoder", EncoderConfig, skip=("vocab_size", "max_len")),
     *[row for task in TASKS for row in (
         Setting(task, "corpus", "string", True, None, TRAINING),
         Setting(task, "schema", "string", True, None, TRAINING, _SCHEMA),
@@ -680,8 +681,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -24,7 +24,6 @@ SCHEMAS = ("dataset-1", "dataset-2")
 
 # URL tokens start with one of these prefixes and run to the next whitespace.
 _URL_RE = re.compile(r"(?:https?://|ftp://|www\.)\S*")
-_WS_RE = re.compile(r"\s+")
 
 
 class CorpusError(ValueError):
@@ -129,15 +128,25 @@ class ValidationReport:
 def clean_text(raw: str) -> str:
     """Normalize raw text.
 
-    Removes non-printable characters (keeping whitespace for the collapse
-    step), strips URL tokens, collapses whitespace runs to single spaces and
-    trims the ends.  Idempotent: clean_text(clean_text(x)) == clean_text(x).
+    Removes every character that is neither printable nor whitespace (by
+    ``str.isprintable`` and ``str.isspace``), strips URL tokens, collapses
+    whitespace runs to single spaces and trims the ends.  Idempotent:
+    clean_text(clean_text(x)) == clean_text(x).
+
+    Each step is skipped when it cannot change the text, so the common case
+    runs only ``str`` methods: the filter when every character outside
+    whitespace is printable, the URL pattern when no prefix occurs.  The
+    collapse is ``str.split()``, which splits where ``\\s`` matches: at
+    ``str.isspace`` characters.
     """
     # Non-printables go first so stray control bytes cannot hide a URL.
-    text = "".join(ch for ch in raw if ch.isspace() or ch.isprintable())
-    text = _URL_RE.sub("", text)
-    text = _WS_RE.sub(" ", text)
-    return text.strip()
+    text = raw
+    if not (raw.isprintable() or "".join(raw.split()).isprintable()):
+        text = "".join(ch for ch in raw if ch.isspace() or ch.isprintable())
+    # Every URL token holds "://" or "www.".
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub("", text)
+    return " ".join(text.split())
 
 
 def rule_match_entities(text: str, lexicon: Lexicon) -> list[str]:

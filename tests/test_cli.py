@@ -176,6 +176,10 @@ BAD_INPUTS = {
     "evaluate_key_entities_int": (1, "preds.jsonl: line 1: key_entities must be a list of strings"),
     "evaluate_key_entities_string": (1, "preds.jsonl: line 1: key_entities must be a list of strings"),
     "evaluate_span_list": (1, "preds.jsonl: line 1: span must be a string"),
+    "validate_corpus_directory": (2, "cannot open file: [Errno 21] Is a directory: "),
+    "validate_corpus_below_a_file": (2, "cannot open file: [Errno 20] Not a directory: "),
+    "paths_vocab_directory": (2, "cannot open file: [Errno 21] Is a directory: "),
+    "encoder_max_len": (2, "bad encoder.max_len: unknown key"),
 }
 
 def write_checkpoint(path, kind, text="alpha beta"):
@@ -306,6 +310,15 @@ def bad_input_argv(tmp_path, case):
         raw = (tmp_path / "corpus.jsonl").read_bytes()
         (tmp_path / "bad.jsonl").write_bytes(raw.replace(b'"text": "', b'"text": "\xff', 1))
         path, _ = write_config(tmp_path, paths={**paths, "corpus": str(tmp_path / "bad.jsonl")})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    if case.startswith("validate_corpus"):
+        path = tmp_path if case.endswith("directory") else tmp_path / "corpus.jsonl" / "x"
+        return ["validate", "--corpus", str(path), "--schema", "dataset-1"]
+    if case == "paths_vocab_directory":
+        path, _ = write_config(tmp_path, paths={**paths, "vocab": str(tmp_path)})
+        return ["train", "--task", "sentiment", "--config", str(path)]
+    if case == "encoder_max_len":
+        path, _ = write_config(tmp_path, encoder={**cfg["encoder"], "max_len": 5})
         return ["train", "--task", "sentiment", "--config", str(path)]
     if case == "paths_checkpoints_int":
         path, _ = write_config(tmp_path, paths={**paths, "checkpoints": 5})

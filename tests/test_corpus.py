@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,71 @@ from finkey.corpus import (
     rule_match_entities,
     save_corpus,
 )
+
+
+# clean_text as it was before it skipped the steps that cannot change a
+# text, kept verbatim: the rewrite must give the same string for every input.
+_URL_RE = re.compile(r"(?:https?://|ftp://|www\.)\S*")
+_WS_RE = re.compile(r"\s+")
+
+
+def reference_clean_text(raw: str) -> str:
+    """Normalize raw text.
+
+    Removes non-printable characters (keeping whitespace for the collapse
+    step), strips URL tokens, collapses whitespace runs to single spaces and
+    trims the ends.  Idempotent: clean_text(clean_text(x)) == clean_text(x).
+    """
+    # Non-printables go first so stray control bytes cannot hide a URL.
+    text = "".join(ch for ch in raw if ch.isspace() or ch.isprintable())
+    text = _URL_RE.sub("", text)
+    text = _WS_RE.sub(" ", text)
+    return text.strip()
+
+
+# Whitespace that is not printable, characters that are neither (NUL, DEL,
+# zero-width space, BOM, lone surrogates, unassigned code points) and URL
+# prefixes, whole or split by a character the filter removes.
+_TRICKY = [
+    "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2000", "\u2028", "\u3000", " ", "\x00", "\x7f", "\u200b", "\ufeff", "\ud800",
+    "\udfff", "\u0378", "\uffff", "\U0010ffff", "http://", "https://", "ftp://", "www.",
+    "ht\x00tp://", "http:\x7f//", "w\u200bww.", "www\ufeff.", "ftp\x01://", "://", "www",
+]
+_MIXED_TEXT = st.lists(
+    st.sampled_from(_TRICKY) | st.text(alphabet="abc.:/ ", max_size=4) | st.characters(),
+    max_size=40,
+).map("".join)
+
+
+class TestCleanTextUnchanged:
+    """clean_text gives reference_clean_text's string, character for character."""
+
+    @given(_MIXED_TEXT)
+    @settings(max_examples=1000)
+    def test_mixed_text(self, raw):
+        assert clean_text(raw) == reference_clean_text(raw)
+
+    @pytest.mark.parametrize("joiner", ["x", " ", "www."])
+    def test_every_code_point(self, joiner):
+        block = 4096
+        for start in range(0, 0x110000, block):
+            raw = joiner.join(map(chr, range(start, start + block)))
+            assert clean_text(raw) == reference_clean_text(raw), hex(start)
+
+    def test_load_corpus(self, tmp_path):
+        texts = [
+            "Acme\tfell\r\nsee http://ex.co/\x00a next",
+            "\ufeffBank\x0bB  www.\x00b.com\x1c sued",
+            "plain text",
+        ]
+        lines = [json.dumps({"id": str(i), "text": t}) for i, t in enumerate(texts)]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n")
+        docs, report = load_corpus(path, "dataset-1")
+        assert report.ok
+        assert [d.cleaned_text for d in docs] == [reference_clean_text(t) for t in texts]
+        assert [d.cleaned_text for d in docs] == ["Acme fell see next", "Bank B sued", "plain text"]
 
 
 class TestCleanText:
