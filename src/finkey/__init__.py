@@ -44,7 +44,6 @@ from .tasks import (  # noqa: E402,F401
     detect_key_entities,
     entity_prf,
     extract_span,
-    focal_loss,
     predict_sentiment,
     score_entity,
 )
@@ -53,7 +52,6 @@ from .training import (  # noqa: E402,F401
     Checkpoint,
     TrainConfig,
     cross_validate,
-    kfold_split,
     load_checkpoint,
     neighborhood_search,
     save_checkpoint,

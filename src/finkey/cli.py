@@ -42,13 +42,12 @@ from .training import (
     TrainConfig,
     cross_validate,
     document_folds,
+    holdout,
     load_checkpoint,
     neighborhood_search,
     save_checkpoint,
     train,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -277,7 +276,7 @@ def _task_dataset(values: dict, task: str):
             )
         return docs
     if task == "match":
-        pairs, skipped = build_pair_dataset(docs)
+        pairs, _ = build_pair_dataset(docs)
         unlabeled = [p.doc_id for p in pairs if p.label is None]
         if unlabeled:
             raise CorpusError(
@@ -285,15 +284,11 @@ def _task_dataset(values: dict, task: str):
             )
         if not pairs:
             raise CorpusError("corpus yields no (entity, text) pairs")
-        if skipped:
-            logger.warning("skipped %d documents without entity lists", skipped)
         return pairs
-    examples, dropped = build_mrc_dataset(docs, values["mrc.template"])
+    examples, _ = build_mrc_dataset(docs, values["mrc.template"])
     labeled = [e for e in examples if e.answer is not None]
     if not labeled:
         raise CorpusError("corpus yields no answerable extraction examples")
-    if dropped:
-        logger.warning("dropped %d documents whose gold entity is absent from the text", dropped)
     return labeled
 
 
@@ -310,11 +305,7 @@ def _holdout_split(dataset, values: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
     setting = f"{task}.dev_split_k"
-    split = _document_folds(dataset, values[setting], seed, setting)
-    dev_idx = set(split.folds[0])
-    train_set = [dataset[i] for i in range(len(dataset)) if i not in dev_idx]
-    dev_set = [dataset[i] for i in split.folds[0]]
-    return train_set, dev_set
+    return holdout(dataset, _document_folds(dataset, values[setting], seed, setting).folds[0])
 
 
 def _checkpoint_dir(values: dict) -> Path:
@@ -505,26 +496,30 @@ def cmd_pipeline(args) -> int:
 
 def _read_predictions(path: str) -> dict[str, dict]:
     preds: dict[str, dict] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno} is not valid JSON: {exc.msg}") from None
-            doc_id = record.get("id") if isinstance(record, dict) else None
-            if not isinstance(doc_id, str):
-                raise CorpusError(f"{path}: line {lineno} lacks an id")
-            if doc_id in preds:
-                raise CorpusError(f"{path}: duplicate prediction id {doc_id!r}")
-            entities, span = record.get("key_entities"), record.get("span")
-            if not (entities is None or isinstance(entities, list)
-                    and all(isinstance(e, str) for e in entities)):
-                raise CorpusError(f"{path}: line {lineno}: key_entities must be a list of strings")
-            if not (span is None or isinstance(span, str)):
-                raise CorpusError(f"{path}: line {lineno}: span must be a string")
-            preds[doc_id] = record
+    # Read as bytes so that invalid UTF-8 is reported with its line, as load_corpus does.
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: invalid UTF-8 at byte {exc.start}") from None
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno} is not valid JSON: {exc.msg}") from None
+        doc_id = record.get("id") if isinstance(record, dict) else None
+        if not isinstance(doc_id, str):
+            raise CorpusError(f"{path}: line {lineno} lacks an id")
+        if doc_id in preds:
+            raise CorpusError(f"{path}: duplicate prediction id {doc_id!r}")
+        entities, span = record.get("key_entities"), record.get("span")
+        if not (entities is None or isinstance(entities, list)
+                and all(isinstance(e, str) for e in entities)):
+            raise CorpusError(f"{path}: line {lineno}: key_entities must be a list of strings")
+        if not (span is None or isinstance(span, str)):
+            raise CorpusError(f"{path}: line {lineno}: span must be a string")
+        preds[doc_id] = record
     return preds
 
 

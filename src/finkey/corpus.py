@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -99,13 +98,12 @@ class RecordError:
 
 @dataclass
 class ValidationReport:
-    """Per-record errors and warning counters from a corpus load."""
+    """Per-record errors from a corpus load."""
 
     path: str = ""
     n_lines: int = 0
     n_documents: int = 0
     errors: list[RecordError] = field(default_factory=list)
-    counters: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -121,7 +119,6 @@ class ValidationReport:
                 {"line": e.line, "id": e.doc_id, "message": e.message}
                 for e in self.errors
             ],
-            "counters": dict(self.counters),
         }
 
 
@@ -131,7 +128,8 @@ def clean_text(raw: str) -> str:
     Removes every character that is neither printable nor whitespace (by
     ``str.isprintable`` and ``str.isspace``), strips URL tokens, collapses
     whitespace runs to single spaces and trims the ends.  Idempotent:
-    clean_text(clean_text(x)) == clean_text(x).
+    clean_text(clean_text(x)) == clean_text(x).  A text that cleaning leaves
+    as it is comes back as the same object, so it is not held twice.
 
     Each step is skipped when it cannot change the text, so the common case
     runs only ``str`` methods: the filter when every character outside
@@ -146,7 +144,8 @@ def clean_text(raw: str) -> str:
     # Every URL token holds "://" or "www.".
     if "://" in text or "www." in text:
         text = _URL_RE.sub("", text)
-    return " ".join(text.split())
+    text = " ".join(text.split())
+    return raw if text == raw else text
 
 
 def rule_match_entities(text: str, lexicon: Lexicon) -> list[str]:

@@ -6,38 +6,13 @@ self-attention with additive -inf masking of padded keys, residual,
 layer norm, position-wise GELU feed-forward, residual, layer norm).  The
 sentence vector is the hidden state at the leading [CLS] position.
 
-Everything is plain numpy.  float32 is the training default; configs can be
-switched to float64 for finite-difference gradient verification.  Inference
-(training=False) is a pure function of (params, sequence); dropout only
-fires in training mode and draws from an explicit Generator.
-
-``init_params`` lays the tensors out as views into one contiguous buffer,
-in ``param_shapes`` order.  ``forward_batch``/``backward_batch`` operate on
-(batch, T) id/mask arrays for any T up to max_len; a training step cuts its
-batch to ``inference_length`` (the last real position of any row, rounded
-up to 8) and runs them there, and weight gradients are one BLAS matrix
-product each (``weight_grad``).  ``forward_inference`` is the inference
-entry point: it runs ``forward_batch`` over each row's real prefix only,
-grouping rows of equal length.  With ``pooled=True`` (heads that read the
-[CLS] row only) the last layer computes keys and values at every position
-and everything else over the first two rows (``query_rows``); the [CLS]
-row comes out bit-identical to the full forward's.  Training steps of
-pooled heads cut their last layer the same way; the cache then holds
-full-length arrays, zero past the two rows, and the gradients are
-bit-identical to the full forward's.  ``forward`` encodes one
-TokenSequence.
-
-The forward allocates each intermediate once and updates it in place:
-bias adds, the score scale, an additive key mask built once per forward
-(-0.0 at real keys, -inf at padded ones), the softmax, the residuals, the
-layer norm (the arithmetic of ``mean`` and ``var`` spelled out) and GELU.
-The backward does the same for the layer-norm and softmax backward, the
-GELU derivative and the sums of its input gradients, and scatters into
-the embedding gradient with one flat ``np.add.at``.  Each step is the same
-floating-point operation as the allocating form, so the outputs are
-bit-identical to it; nothing recorded in a training cache is written
-after it is recorded, and the backward writes to none of it.  Without a
-cache, each intermediate is dropped after its last read.
+Everything is plain numpy; configs can switch from float32 to float64 for
+finite-difference gradient checks.  ``forward_batch``/``backward_batch``
+run (batch, T) id/mask arrays for any T up to max_len and update their
+intermediates in place; ``forward_inference`` runs each row over its real
+prefix only, and a pooled forward (heads that read the [CLS] row) cuts the
+last layer's queries to two rows.  The README (library layout) says why
+each of these keeps the outputs' bits and what was measured.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -63,7 +38,7 @@ _INFERENCE_CHUNK = 256  # rows per forward_batch call in forward_inference
 # [CLS] row, but numpy hands a one-row matrix product to BLAS gemv, which
 # sums in another order than the gemm of the full forward; with two rows
 # every product stays a gemm and the [CLS] row stays bit-identical.
-POOLED_ROWS = 2
+_POOLED_ROWS = 2
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _ANNOTATION_TYPES = {"int": "integer", "float": "number", "str": "string"}
 _ADMITS = {"integer": numbers.Integral, "number": numbers.Real, "string": str}
@@ -387,7 +362,7 @@ def forward_batch(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     cache: Optional[dict] = None,
-    query_rows: Optional[int] = None,
+    pooled: bool = False,
 ) -> np.ndarray:
     """Run the encoder over (batch, T) id/mask arrays, 1 <= T <= max_len.
 
@@ -398,18 +373,17 @@ def forward_batch(
     ``cache`` is a dict, the intermediates needed by backward_batch (and the
     per-layer attention probabilities) are recorded into it.
 
-    With ``query_rows`` (1 <= query_rows <= T) the last layer computes keys
-    and values at all T positions and the rest of the layer (queries,
-    attention, output projection, layer norms, FFN) over the first
-    ``query_rows`` positions only; those rows equal the full forward's.
-    Dropout masks are drawn at full size and cut, so the generator advances
-    as in the full forward.  Without a cache the result has shape (batch,
-    query_rows, d_model).  With a cache the result and the last layer's
-    recorded intermediates have their full-T shapes, with zeros in the rows
-    from ``query_rows`` on: backward_batch then sums over the same shapes
-    as after a full forward, and with an upstream gradient that is zero on
-    those rows it returns the full forward's gradients bit for bit (README,
-    encoder section).
+    With ``pooled`` the last layer computes keys and values at all T
+    positions and the rest of the layer (queries, attention, output
+    projection, layer norms, FFN) over the first min(2, T) positions only;
+    those rows equal the full forward's.  Dropout masks are drawn at full
+    size and cut, so the generator advances as in the full forward.  Without
+    a cache the result has shape (batch, min(2, T), d_model).  With a cache
+    the result and the last layer's recorded intermediates have their full-T
+    shapes, with zeros in the other rows: backward_batch then sums over the
+    same shapes as after a full forward, and with an upstream gradient that
+    is zero on those rows it returns the full forward's gradients bit for
+    bit (README, encoder section).
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
@@ -422,8 +396,6 @@ def forward_batch(
         raise ValueError("attn_mask shape must match ids")
 
     t = ids.shape[1]
-    if query_rows is not None and not 1 <= query_rows <= t:
-        raise ValueError(f"query_rows must lie in [1, {t}]")
     use_dropout = training and config.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
@@ -450,7 +422,7 @@ def forward_batch(
         k += lp.bk
         v = x @ lp.wv
         v += lp.bv
-        rows = query_rows if query_rows is not None and lp is params.layers[-1] else t
+        rows = min(_POOLED_ROWS, t) if pooled and lp is params.layers[-1] else t
         q = x[:, :rows] @ lp.wq
         q += lp.bq
         qh = _split_heads(q, config.n_heads)
@@ -664,7 +636,7 @@ def forward_inference(
     a row's own length are zero.  Zero rows give an empty result.
 
     With ``pooled`` the last layer runs its queries over the first
-    min(2, T) positions only (forward_batch's ``query_rows``), for heads
+    min(2, T) positions only (forward_batch's ``pooled``), for heads
     that read the [CLS] row alone: the result has shape (batch, min(2, T),
     d_model), where T is the width of ``ids``, and its [CLS] rows are
     bit-identical to the unpooled ones.
@@ -676,13 +648,13 @@ def forward_inference(
     lengths = _row_lengths(mask, ids.shape[1])
     t_max = int(lengths.max(initial=min(ids.shape[1], _LENGTH_MULTIPLE)))
     # Every group is at least min(T, 8) positions long, so it has these rows.
-    query_rows = min(POOLED_ROWS, ids.shape[1]) if pooled else None
-    hidden = np.zeros((ids.shape[0], query_rows or t_max, config.d_model), dtype=config.np_dtype)
+    width = min(_POOLED_ROWS, ids.shape[1]) if pooled else t_max
+    hidden = np.zeros((ids.shape[0], width, config.d_model), dtype=config.np_dtype)
     for t in np.unique(lengths):
         rows = np.flatnonzero(lengths == t)
         for i in range(0, rows.size, _INFERENCE_CHUNK):
             sel = rows[i : i + _INFERENCE_CHUNK]
-            out = forward_batch(params, config, ids[sel, :t], mask[sel, :t], query_rows=query_rows)
+            out = forward_batch(params, config, ids[sel, :t], mask[sel, :t], pooled=pooled)
             hidden[sel, : out.shape[1]] = out
     return hidden
 

@@ -25,9 +25,7 @@ from .training import Checkpoint, EncoderConfig, TrainConfig, train
 
 # Documents per pipeline block: each block makes one batched forward per
 # member, stage and length group, so larger blocks make fewer, larger calls
-# and hold more rows at once.  On the coarse benchmark, blocks of 4, 8, 16
-# and 32 made 1,539, 837, 450 and 246 forward calls and ran 677, 750, 905
-# and 960 docs/s, at a peak RSS of 61.0, 61.4, 61.9 and 63.0 MB (README).
+# and hold more rows at once (measured in the README).
 _BLOCK_DOCS = 16
 
 

@@ -118,47 +118,21 @@ class SpanPrediction:
     text: str
 
 
-def _alpha_t(cfg: FocalConfig, y: int) -> float:
-    if cfg.alpha is None:
-        return 1.0
-    return cfg.alpha if y == 1 else 1.0 - cfg.alpha
-
-
-def focal_loss(p: float, y: int, cfg: FocalConfig) -> tuple[float, float]:
-    """Focal loss -alpha_t * (1 - p_t)^gamma * log(p_t) for one example.
-
-    ``p`` is the predicted probability of the positive class; the returned
-    gradient is taken with respect to the pre-sigmoid logit.  gamma = 0 with
-    alpha absent reduces to binary cross-entropy.
-    """
-    if y not in (0, 1):
-        raise ValueError("y must be 0 or 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    a = _alpha_t(cfg, y)
-    g = cfg.gamma
-    if y == 1:
-        loss = -a * (1.0 - p) ** g * np.log(p)
-        dz = a * g * p * (1.0 - p) ** g * np.log(p) - a * (1.0 - p) ** (g + 1.0)
-    else:
-        loss = -a * p**g * np.log1p(-p)
-        dz = -a * g * p**g * (1.0 - p) * np.log1p(-p) + a * p ** (g + 1.0)
-    return float(loss), float(dz)
-
-
 def focal_loss_from_logits(
     logits: np.ndarray, labels: np.ndarray, cfg: FocalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized focal loss computed stably from pre-sigmoid logits.
+    """Per-example focal loss -alpha_t * (1 - p_t)^gamma * log(p_t) of
+    pre-sigmoid logits and its gradient with respect to the logits.
 
-    Uses log(sigmoid(z)) = -softplus(-z) so extreme logits do not overflow.
-    Returns per-example losses and gradients w.r.t. the logits.
+    alpha_t is alpha for positives and 1 - alpha for negatives, 1 when alpha
+    is absent; gamma 0 without alpha is binary cross-entropy.  Uses
+    log(sigmoid(z)) = -softplus(-z) so extreme logits do not overflow.
     """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels)
     p = expit(z)
     pos = y == 1
-    a = np.where(pos, _alpha_t(cfg, 1), _alpha_t(cfg, 0))
+    a = 1.0 if cfg.alpha is None else np.where(pos, cfg.alpha, 1.0 - cfg.alpha)
     g = cfg.gamma
     log_p = -np.logaddexp(0.0, -z)  # log sigmoid(z)
     log_q = -np.logaddexp(0.0, z)  # log (1 - sigmoid(z))
@@ -448,11 +422,7 @@ class SentimentTask(Task):
 
     def dev_metric(self, preds, data: Encoded) -> float:
         """Accuracy."""
-        classes = [
-            NEGATIVE_INDEX if p.label is SentimentLabel.NEGATIVE else POSITIVE_INDEX
-            for p in preds
-        ]
-        return accuracy(classes, data.gold.tolist())
+        return accuracy([p.label for p in preds], [doc.sentiment for doc in data.items])
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .corpus import CorpusError, Document
 from .encoder import (
-    POOLED_ROWS,
     EncoderConfig,
     EncoderParams,
     backward_batch,
@@ -37,6 +36,7 @@ from .encoder import (
     split_flat,
 )
 from .tasks import (
+    DEFAULT_MAX_SPAN_LEN,
     TASKS,
     Encoded,
     FocalConfig,
@@ -145,6 +145,13 @@ def document_folds(dataset, k: int, seed: int) -> FoldSplit:
     return FoldSplit(tuple(tuple(p for i in fold for p in docs[i]) for fold in split.folds))
 
 
+def holdout(dataset, fold: Sequence[int]) -> tuple[list, list]:
+    """(train, dev): the examples outside ``fold`` in dataset order, and
+    those in it in fold order."""
+    held = set(fold)
+    return [x for i, x in enumerate(dataset) if i not in held], [dataset[i] for i in fold]
+
+
 class Adam:
     """Adam over one flat parameter buffer, updated in place."""
 
@@ -251,7 +258,9 @@ class Checkpoint:
     def score_entity(self, entity: str, text: str) -> float:
         return score_entity(*self._model("match"), entity, text)
 
-    def extract_span(self, question: str, context: str, max_span_len: int = 16) -> SpanPrediction:
+    def extract_span(
+        self, question: str, context: str, max_span_len: int = DEFAULT_MAX_SPAN_LEN
+    ) -> SpanPrediction:
         return extract_span(*self._model("span"), question, context, max_span_len)
 
 
@@ -421,9 +430,9 @@ def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: En
     and no loss reaches a padded position, so the cut changes no gradient
     in exact arithmetic, and dropout draws its masks at ``max_len``, so the
     generator advances as at full length.  A pooled task's loss reads the
-    [CLS] row only, so its last encoder layer runs over the first
-    ``POOLED_ROWS`` rows (forward_batch's ``query_rows``); the gradients are
-    bit-identical to those of the full forward.  The activation cache is
+    [CLS] row only, so its last encoder layer runs pooled (forward_batch's
+    ``pooled``); the gradients are bit-identical to those of the full
+    forward.  The activation cache is
     freed on return, before the next batch or the dev evaluation.
     """
     t = inference_length(batch.mask, enc_cfg.max_len)
@@ -436,7 +445,7 @@ def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: En
     cache: dict = {}
     hidden = forward_batch(
         model.encoder, enc_cfg, batch.ids, batch.mask, training=True, rng=rng, cache=cache,
-        query_rows=min(POOLED_ROWS, t) if task.pooled else None,
+        pooled=task.pooled,
     )
     loss, head_grads, d_hidden = task.loss_and_grad(model.head, hidden, batch)
     grads = ParamStore(np.zeros_like(model.flat), enc_cfg, task.head_kind)
@@ -452,7 +461,7 @@ def train(
     cfg: TrainConfig,
     encoder: Optional[EncoderConfig] = None,
     vocab: Optional[Vocab] = None,
-    max_span_len: int = 16,
+    max_span_len: int = DEFAULT_MAX_SPAN_LEN,
 ) -> TrainResult:
     """Train one model; returns the best-dev-epoch checkpoint plus history.
 
@@ -538,13 +547,9 @@ def cross_validate(
 ) -> CrossValResult:
     """k-fold cross-validation over documents (``document_folds``): each
     fold is held out once as the dev set."""
-    split = document_folds(dataset, k, cfg.seed)
     scores = []
-    for fold in split.folds:
-        held = set(fold)
-        dev = [dataset[i] for i in fold]
-        tr = [dataset[i] for i in range(len(dataset)) if i not in held]
-        result = train(tr, dev, cfg, encoder=encoder, **train_kwargs)
+    for fold in document_folds(dataset, k, cfg.seed).folds:
+        result = train(*holdout(dataset, fold), cfg, encoder=encoder, **train_kwargs)
         scores.append(result.checkpoint.dev_score)
     return CrossValResult(fold_scores=scores, mean_score=float(np.mean(scores)))
 

@@ -49,7 +49,7 @@ from finkey.tasks import (
     classical_predict,
     detect_key_entities,
     entity_prf,
-    focal_loss,
+    focal_loss_from_logits,
     init_head,
     select_span,
 )
@@ -185,10 +185,11 @@ def test_criterion_1_focal_reduces_to_bce():
     with criterion(1, "focal(gamma=0) equals binary cross-entropy", budget_seconds=1.0):
         cfg = FocalConfig(gamma=0.0, alpha=None)
         for p in np.arange(0.01, 0.995, 0.01):
+            z = math.log(p) - math.log1p(-p)  # the logit of p
             for y in (0, 1):
-                loss, _ = focal_loss(float(p), int(y), cfg)
+                losses, _ = focal_loss_from_logits(np.array([z]), np.array([y]), cfg)
                 bce = -(y * math.log(p) + (1 - y) * math.log(1 - p))
-                assert abs(loss - bce) < 1e-9
+                assert abs(losses[0] - bce) < 1e-9
 
 
 # ---------------------------------------------------------------------------

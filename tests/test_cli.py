@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import re
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finkey.cli import SETTINGS, TRAINING, _load_config, main
-from finkey.corpus import save_corpus
+from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import init_head, task_for_head
@@ -133,6 +134,7 @@ BAD_INPUTS = {
     "malformed_vocab": (2, "bad vocab file"),
     "non_checkpoint_file": (2, "not a checkpoint file"),
     "malformed_predictions": (1, "not valid JSON"),
+    "predictions_invalid_utf8": (1, "preds.jsonl: line 2: invalid UTF-8 at byte 8"),
     "no_usable_mrc_examples": (1, "no usable mrc examples"),
     "crossval_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
     "crossval_k_below_two": (2, "bad --k: need 2 <= k <= 40"),
@@ -360,8 +362,11 @@ def bad_input_argv(tmp_path, case):
         _, cfg = write_config(tmp_path)
         path, _ = write_config(tmp_path, sentiment={**cfg["sentiment"], "dev_split_k": 41})
         return [case.split("_")[0], "--task", "sentiment", "--config", str(path)]
-    if case == "malformed_predictions":
-        (tmp_path / "preds.jsonl").write_text('{"id": "a"\n', encoding="utf-8")
+    if "predictions" in case:
+        (tmp_path / "preds.jsonl").write_bytes({
+            "malformed_predictions": b'{"id": "a"\n',
+            "predictions_invalid_utf8": b'{"id": "a"}\n{"id": "\xffb"}\n',
+        }[case])
         return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"), "--gold", corpus,
                 "--task", "sentiment"]
     # Every question is longer than max_len, so no example encodes.
@@ -497,6 +502,25 @@ class TestTrainCommand:
 
     def test_missing_config_is_config_error(self):
         assert main(["train", "--task", "sentiment"]) == 2
+
+    @pytest.mark.parametrize("task", ["match", "mrc"])
+    def test_left_out_documents_warned_once(self, tmp_path, caplog, task):
+        # A document without an entity list, or whose gold entity is not in
+        # its text, is left out of the dataset with one warning per run.
+        if task == "match":
+            docs = matcher_corpus(40, seed=1) + [Document("extra", "Acme fell", "Acme fell")]
+        else:
+            docs = mrc_corpus(40, seed=1) + [
+                Document("extra", "Acme fell", "Acme fell", key_entities=["Zeta"], tag="fraud")
+            ]
+        save_corpus(docs, tmp_path / "corpus.jsonl")
+        _, cfg = write_config(tmp_path)
+        schema = "dataset-1" if task == "match" else "dataset-2"
+        path, _ = write_config(tmp_path, paths={**cfg["paths"], "schema": schema})
+        with caplog.at_level(logging.WARNING):
+            assert main(["train", "--task", task, "--config", str(path)]) == 0
+        left_out = [r.getMessage() for r in caplog.records if "1 documents" in r.getMessage()]
+        assert len(left_out) == 1, left_out
 
     def test_bad_config_value_is_config_error(self, sentiment_setup, tmp_path):
         _, _, _ = sentiment_setup

@@ -119,6 +119,15 @@ class TestCleanText:
         # The control byte is removed first, so the URL is still recognized.
         assert clean_text("go ht\x01tp://evil.example now") == "go now"
 
+    def test_clean_text_is_returned_itself(self, tmp_path):
+        # Not a copy, so a document whose text is clean holds it once.
+        raw = " ".join(["Acme", "fell", "3%", "after", "the", "audit"])
+        assert clean_text(raw) is raw
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": raw}) + "\n", encoding="utf-8")
+        doc = load_corpus(path, "dataset-1")[0][0]
+        assert doc.cleaned_text is doc.raw_text
+
     @given(st.text(max_size=200))
     @settings(max_examples=300)
     def test_idempotent(self, raw):

@@ -262,7 +262,7 @@ class TestPooledForward:
     def test_query_rows_equal_full_forward_rows(self, batch):
         cfg, params, ids, mask = batch
         rows = min(2, cfg.max_len)
-        pooled = forward_batch(params, cfg, ids, mask, query_rows=rows)
+        pooled = forward_batch(params, cfg, ids, mask, pooled=True)
         full = forward_batch(params, cfg, ids, mask)
         assert pooled.shape == (ids.shape[0], rows, cfg.d_model)
         assert np.array_equal(pooled, full[:, :rows])
@@ -276,10 +276,10 @@ class TestPooledForward:
         ids = np.full((2, 8), 5, dtype=np.int64)
         mask = np.ones_like(ids)
         caches, outs, rngs = [{}, {}], [], []
-        for cache, rows in zip(caches, (2, None)):
+        for cache, pooled in zip(caches, (True, False)):
             rngs.append(np.random.default_rng(3))
             outs.append(forward_batch(params, cfg, ids, mask, training=True, rng=rngs[-1],
-                                      cache=cache, query_rows=rows))
+                                      cache=cache, pooled=pooled))
         assert outs[0].shape == outs[1].shape
         assert np.array_equal(outs[0][:, :2], outs[1][:, :2]) and not outs[0][:, 2:].any()
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -287,12 +287,6 @@ class TestPooledForward:
         for name in ("qh", "probs", "ctx", "h1", "ff_pre", "cdf", "act"):
             assert cut[name].shape == full[name].shape, name
             assert not cut[name][..., 2:, :].any(), name
-        for rows in (0, 9):
-            with pytest.raises(ValueError, match="query_rows"):
-                forward_batch(params, cfg, ids, mask, query_rows=rows)
-            with pytest.raises(ValueError, match="query_rows"):
-                forward_batch(params, cfg, ids, mask, training=True, rng=np.random.default_rng(0),
-                              cache={}, query_rows=rows)
 
 
 @st.composite
@@ -371,7 +365,7 @@ def reference_backward_batch(params, config, cache, d_hidden):
 
 
 class TestPooledTraining:
-    """A training forward and backward with query_rows=2 give the gradient
+    """A pooled training forward and backward give the gradient
     bytes of the full forward when only the [CLS] rows get a gradient, and
     backward_batch gives the bytes of the allocating reference backward."""
 
@@ -380,10 +374,10 @@ class TestPooledTraining:
     def test_gradients_byte_identical(self, setup):
         cfg, params, ids, mask, d_cls, seed = setup
         results = []
-        for rows in (min(2, ids.shape[1]), None):
+        for pooled in (True, False):
             cache, rng = {}, np.random.default_rng(seed)
             hidden = forward_batch(params, cfg, ids, mask, training=True, rng=rng, cache=cache,
-                                   query_rows=rows)
+                                   pooled=pooled)
             d_hidden = np.zeros_like(hidden)
             d_hidden[:, 0] = d_cls
             grads = backward_batch(params, cfg, cache, d_hidden)
@@ -757,7 +751,7 @@ class TestForwardLeavesArraysAlone:
         forward_batch(
             params, cfg, ids, mask,
             training=cache is not None, rng=np.random.default_rng(6), cache=cache,
-            query_rows=2 if mode.startswith("pooled") else None,
+            pooled=mode.startswith("pooled"),
         )
         after = [ids, mask, *(t for _, t in params.named())]
         assert all(same_bits(a, b) for a, b in zip(after, before))

@@ -21,7 +21,6 @@ from finkey.tasks import (
     classical_predict,
     detect_key_entities,
     extract_span,
-    focal_loss,
     focal_loss_from_logits,
     init_head,
     predict_sentiment,
@@ -110,39 +109,75 @@ def bce(p, y):
     return -(y * math.log(p) + (1 - y) * math.log(1 - p))
 
 
+def _alpha_t(cfg: FocalConfig, y: int) -> float:
+    if cfg.alpha is None:
+        return 1.0
+    return cfg.alpha if y == 1 else 1.0 - cfg.alpha
+
+
+def focal_loss(p: float, y: int, cfg: FocalConfig) -> tuple[float, float]:
+    """Focal loss -alpha_t * (1 - p_t)^gamma * log(p_t) for one example.
+
+    ``p`` is the predicted probability of the positive class; the returned
+    gradient is taken with respect to the pre-sigmoid logit.  gamma = 0 with
+    alpha absent reduces to binary cross-entropy.
+    """
+    if y not in (0, 1):
+        raise ValueError("y must be 0 or 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly inside (0, 1)")
+    a = _alpha_t(cfg, y)
+    g = cfg.gamma
+    if y == 1:
+        loss = -a * (1.0 - p) ** g * np.log(p)
+        dz = a * g * p * (1.0 - p) ** g * np.log(p) - a * (1.0 - p) ** (g + 1.0)
+    else:
+        loss = -a * p**g * np.log1p(-p)
+        dz = -a * g * p**g * (1.0 - p) * np.log1p(-p) + a * p ** (g + 1.0)
+    return float(loss), float(dz)
+
+
+def logit_focal_loss(p: float, y: int, cfg: FocalConfig) -> float:
+    """The production focal loss of one example at probability ``p``."""
+    z = math.log(p) - math.log1p(-p)
+    return float(focal_loss_from_logits(np.array([z]), np.array([y]), cfg)[0][0])
+
+
 class TestFocalLoss:
+    """The logit-form loss that training runs; ``focal_loss`` above, the
+    probability form it replaced, is the reference it is compared with."""
+
     def test_gamma_zero_equals_bce_on_grid(self):
         cfg = FocalConfig(gamma=0.0, alpha=None)
         for p in np.arange(0.01, 1.0, 0.01):
             for y in (0, 1):
-                loss, _ = focal_loss(float(p), y, cfg)
-                assert abs(loss - bce(p, y)) < 1e-9
+                assert abs(logit_focal_loss(float(p), y, cfg) - bce(p, y)) < 1e-9
 
     def test_worked_value(self):
         # p_t = 0.9, gamma = 2 -> 0.01 * (-ln 0.9)
         expected = 0.01 * -math.log(0.9)
-        loss_pos, _ = focal_loss(0.9, 1, FocalConfig(gamma=2.0))
+        loss_pos = logit_focal_loss(0.9, 1, FocalConfig(gamma=2.0))
         np.testing.assert_allclose(loss_pos, expected, rtol=1e-9)
-        loss_neg, _ = focal_loss(0.1, 0, FocalConfig(gamma=2.0))
+        loss_neg = logit_focal_loss(0.1, 0, FocalConfig(gamma=2.0))
         np.testing.assert_allclose(loss_neg, expected, rtol=1e-9)
         assert loss_pos == pytest.approx(0.00105361, rel=1e-4)
 
     def test_monotone_in_pt(self):
         cfg = FocalConfig(gamma=2.0, alpha=0.7)
         grid = np.arange(0.01, 1.0, 0.01)
-        losses = [focal_loss(float(p), 1, cfg)[0] for p in grid]
+        losses = [logit_focal_loss(float(p), 1, cfg) for p in grid]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
-        losses0 = [focal_loss(float(p), 0, cfg)[0] for p in grid]
+        losses0 = [logit_focal_loss(float(p), 0, cfg) for p in grid]
         assert all(a <= b for a, b in zip(losses0, losses0[1:]))
 
     def test_loss_vanishes_as_pt_tends_to_one(self):
         cfg = FocalConfig(gamma=2.0)
-        assert focal_loss(0.999999, 1, cfg)[0] < 1e-11
+        assert logit_focal_loss(0.999999, 1, cfg) < 1e-11
 
     def test_alpha_weighting(self):
         cfg = FocalConfig(gamma=0.0, alpha=0.25)
-        loss_pos, _ = focal_loss(0.5, 1, cfg)
-        loss_neg, _ = focal_loss(0.5, 0, cfg)
+        loss_pos = logit_focal_loss(0.5, 1, cfg)
+        loss_neg = logit_focal_loss(0.5, 0, cfg)
         np.testing.assert_allclose(loss_pos, 0.25 * math.log(2), rtol=1e-12)
         np.testing.assert_allclose(loss_neg, 0.75 * math.log(2), rtol=1e-12)
 

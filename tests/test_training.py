@@ -460,8 +460,9 @@ class TestTrimmedTrainingStep:
         assert rng_trimmed.bit_generator.state == rng_padded.bit_generator.state
 
 
-    @pytest.mark.parametrize("task_name, rows", [("sentiment", 2), ("match", 2), ("mrc", None)])
-    def test_pooled_tasks_cut_the_last_layer(self, monkeypatch, task_name, rows):
+    @pytest.mark.parametrize("task_name, pooled",
+                             [("sentiment", True), ("match", True), ("mrc", False)])
+    def test_pooled_tasks_cut_the_last_layer(self, monkeypatch, task_name, pooled):
         vocab = vocab_from_texts([" ".join(self.WORDS)])
         enc = EncoderConfig(vocab_size=vocab.size, d_model=8, n_heads=2, n_layers=2, d_ff=16,
                             max_len=20, dropout_rate=0.0)
@@ -472,12 +473,12 @@ class TestTrimmedTrainingStep:
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("query_rows"))
+            seen.append(kwargs.get("pooled"))
             return forward_batch(*args, **kwargs)
 
         monkeypatch.setattr(finkey.training, "forward_batch", spy)
         _train_step(task, model, enc, batch, np.random.default_rng(0))
-        assert seen == [rows]
+        assert seen == [pooled]
 
 
 class TestCheckpointSerialization:
