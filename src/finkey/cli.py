@@ -30,6 +30,7 @@ from .corpus import (
     build_mrc_dataset,
     build_pair_dataset,
     load_corpus,
+    parse_json,
 )
 from .encoder import EncoderConfig, json_type
 from .evaluation import EnsembleSpec, ensemble_train_select, run_pipeline
@@ -188,9 +189,9 @@ def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]
     if path is None:
         raise ConfigError("this command requires --config")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        raw = parse_json(Path(path).read_bytes())
+    except CorpusError as exc:
+        raise ConfigError(f"bad config file: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"bad config file: expected a JSON object, got {raw!r}")
     sections = dict.fromkeys(row.section for row in SETTINGS if "." not in row.section)
@@ -496,18 +497,13 @@ def cmd_pipeline(args) -> int:
 
 def _read_predictions(path: str) -> dict[str, dict]:
     preds: dict[str, dict] = {}
-    # Read as bytes so that invalid UTF-8 is reported with its line, as load_corpus does.
     for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: line {lineno}: invalid UTF-8 at byte {exc.start}") from None
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: line {lineno} is not valid JSON: {exc.msg}") from None
+            record = parse_json(raw)
+        except CorpusError as exc:
+            if not raw.decode("utf-8", "replace").strip():  # a blank line
+                continue
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         doc_id = record.get("id") if isinstance(record, dict) else None
         if not isinstance(doc_id, str):
             raise CorpusError(f"{path}: line {lineno} lacks an id")
@@ -526,14 +522,10 @@ def _read_predictions(path: str) -> dict[str, dict]:
 def cmd_evaluate(args) -> int:
     preds = _read_predictions(args.predictions)
     gold_docs = _load_docs_strict(args.gold, args.schema)
-    gold_ids = [d.id for d in gold_docs]
-    gold_id_set = set(gold_ids)
-    missing = [i for i in gold_ids if i not in preds]
-    extra = [i for i in preds if i not in gold_id_set]
-    if missing or extra:
-        offender = (missing or extra)[0]
-        print(f"id mismatch between predictions and gold corpus: {offender!r}")
-        return EXIT_DATA
+    gold_ids = dict.fromkeys(d.id for d in gold_docs)
+    unmatched = [i for i in gold_ids if i not in preds] + [i for i in preds if i not in gold_ids]
+    if unmatched:
+        raise CorpusError(f"id mismatch between predictions and gold corpus: {unmatched[0]!r}")
 
     report: dict = {
         "task": args.task,
@@ -544,8 +536,7 @@ def cmd_evaluate(args) -> int:
     if args.task == "sentiment":
         unlabeled = [d.id for d in gold_docs if d.sentiment is None]
         if unlabeled:
-            print(f"gold document without sentiment label: {unlabeled[0]!r}")
-            return EXIT_DATA
+            raise CorpusError(f"gold document without sentiment label: {unlabeled[0]!r}")
         score = accuracy(
             [preds[d.id].get("sentiment") for d in gold_docs],
             [d.sentiment.value for d in gold_docs],

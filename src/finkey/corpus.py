@@ -213,9 +213,23 @@ def _parse_record(record: dict, schema: str) -> Document:
     )
 
 
-def load_corpus(
-    path: str | Path, schema: str
-) -> tuple[list[Document], ValidationReport]:
+def parse_json(data: bytes):
+    """The JSON value in ``data``, for every JSON file finkey reads.  A
+    CorpusError names bytes that are not UTF-8, text that is not JSON,
+    nesting past the recursion limit and integers past Python's digit limit."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"invalid UTF-8 at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CorpusError("not valid JSON: nested too deeply") from None
+    except ValueError:  # the only other error json.loads raises
+        raise CorpusError("not valid JSON: an integer has too many digits") from None
+
+
+def load_corpus(path: str | Path, schema: str) -> tuple[list[Document], ValidationReport]:
     """Load a JSON-lines corpus file.
 
     Returns the successfully parsed documents plus a validation report with
@@ -228,25 +242,16 @@ def load_corpus(
     report = ValidationReport(path=str(path))
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    # Read as bytes so that a line of invalid UTF-8 is one record error;
     # bytes.splitlines breaks at \n, \r and \r\n, as text mode does.
     for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            report.n_lines += 1
-            report.errors.append(
-                RecordError(lineno, None, f"malformed line: invalid UTF-8 at byte {exc.start}")
-            )
-            continue
-        if not line.strip():
+            record = parse_json(raw)
+        except CorpusError as exc:
+            if raw.decode("utf-8", "replace").strip():  # not a blank line
+                report.n_lines += 1
+                report.errors.append(RecordError(lineno, None, f"malformed line: {exc}"))
             continue
         report.n_lines += 1
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            report.errors.append(RecordError(lineno, None, f"malformed line: {exc}"))
-            continue
         if not isinstance(record, dict):
             report.errors.append(RecordError(lineno, None, "record is not an object"))
             continue

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import Field, asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -53,10 +54,11 @@ def json_type(f: Field) -> tuple[str, bool]:
 
 def check_config(config, rules: Callable[[], Iterable[tuple[str, bool, str]]]) -> None:
     """A ValueError for the first field of a config dataclass whose value is
-    not of its JSON type, else for the first (field, holds, rule) of
-    ``rules()`` that does not hold; each starts with the field's name.  A
-    bool is not a number; an int passes as a number and is kept as it is,
-    so dicts and checkpoint headers keep their bytes."""
+    not of its JSON type, or is a number no finite float can hold, else for
+    the first (field, holds, rule) of ``rules()`` that does not hold; each
+    starts with the field's name.  A bool is not a number; an int passes as
+    a number and is kept as it is, so dicts and checkpoint headers keep
+    their bytes."""
     for f in fields(config):
         kind, nullable = json_type(f)
         value = getattr(config, f.name)
@@ -65,6 +67,8 @@ def check_config(config, rules: Callable[[], Iterable[tuple[str, bool, str]]]) -
         if isinstance(value, bool) or not isinstance(value, _ADMITS[kind]):
             raise ValueError(f"{f.name}: expected {'an' if kind == 'integer' else 'a'} {kind}, "
                              f"got {value!r}")
+        if kind == "number" and not abs(value) <= sys.float_info.max:  # also NaN
+            raise ValueError(f"{f.name}: must be finite")
     for name, holds, rule in rules():
         if not holds:
             raise ValueError(f"{name}: must be {rule}")

@@ -72,13 +72,18 @@ class Vocab:
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "Vocab":
         """Build a vocab whose non-reserved ids follow the given order."""
-        id_to_token = list(RESERVED_TOKENS)
-        for tok in tokens:
-            id_to_token.append(tok)
-        mapping = {tok: i for i, tok in enumerate(id_to_token)}
-        if len(mapping) != len(id_to_token):
+        return cls.from_stored([*RESERVED_TOKENS, *tokens])
+
+    @classmethod
+    def from_stored(cls, tokens: list) -> "Vocab":
+        """The vocabulary as a vocab file or checkpoint stores it: every token
+        in id order, the reserved tokens first, then distinct strings."""
+        if tuple(tokens[:4]) != RESERVED_TOKENS or not all(isinstance(t, str) for t in tokens):
+            raise TokenizerError("vocabulary must be strings, the reserved tokens first")
+        mapping = {tok: i for i, tok in enumerate(tokens)}
+        if len(mapping) != len(tokens):
             raise TokenizerError("duplicate tokens in vocabulary")
-        return cls(tuple(id_to_token), mapping)
+        return cls(tuple(tokens), mapping)
 
 
 def build_vocab(tokens: Iterable[str], min_freq: int = 1, max_size: int = 50000) -> Vocab:
@@ -119,21 +124,17 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 
 def load_vocab(path: str | Path) -> Vocab:
     tokens: list[str] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                tok, idx = line.split("\t")
-            except ValueError:
-                raise TokenizerError(f"bad vocab line {lineno + 1}") from None
-            if int(idx) != len(tokens):
-                raise TokenizerError(f"non-contiguous id at line {lineno + 1}")
-            tokens.append(tok)
-    if tuple(tokens[:4]) != RESERVED_TOKENS:
-        raise TokenizerError("vocab file does not start with the reserved tokens")
-    return Vocab.from_tokens(tokens[4:])
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            tok, idx = line.split("\t")
+        except ValueError:
+            raise TokenizerError(f"bad vocab line {lineno}") from None
+        if int(idx) != len(tokens):
+            raise TokenizerError(f"non-contiguous id at line {lineno}")
+        tokens.append(tok)
+    return Vocab.from_stored(tokens)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document
+from .corpus import CorpusError, Document, parse_json
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -349,9 +349,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     imply (names, shapes and dtype, stored back to back), exactly that many
     tensor bytes, and a vocabulary of ``vocab_size`` tokens.
     """
-    raw = Path(path).read_bytes()
     try:
-        return _read_checkpoint(raw)
+        return _read_checkpoint(Path(path).read_bytes())
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint header lacks {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -365,7 +364,7 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
     base = pos + int.from_bytes(raw[pos - 8 : pos], "little")  # start of the tensors
     if base > len(raw):
         raise ValueError("truncated checkpoint header")
-    header = json.loads(raw[pos:base].decode("utf-8"))
+    header = parse_json(raw[pos:base])
     if not isinstance(header, dict) or header.get("version") != 1:
         raise ValueError("unsupported checkpoint version")
     enc_cfg = EncoderConfig(**header["encoder_config"])
@@ -383,7 +382,7 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         encoder_config=enc_cfg,
         head=model.head,
         head_kind=head_kind,
-        vocab=Vocab.from_tokens(vocab_tokens[4:]),
+        vocab=Vocab.from_stored(vocab_tokens),
         train_config=TrainConfig.from_dict(header["train_config"]),
         dev_score=header["dev_score"],
         seed=header["seed"],

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import init_head, task_for_head
-from finkey.tokenizer import vocab_from_texts
+from finkey.tokenizer import save_vocab, vocab_from_texts
 from finkey.training import Checkpoint, TrainConfig, save_checkpoint
 
 
@@ -182,6 +183,14 @@ BAD_INPUTS = {
     "validate_corpus_below_a_file": (2, "cannot open file: [Errno 20] Not a directory: "),
     "paths_vocab_directory": (2, "cannot open file: [Errno 21] Is a directory: "),
     "encoder_max_len": (2, "bad encoder.max_len: unknown key"),
+    "config_nested_too_deeply": (2, "bad config file: not valid JSON: nested too deeply"),
+    "config_invalid_utf8": (2, "bad config file: invalid UTF-8 at byte 7"),
+    "config_long_integer": (2, "bad config file: not valid JSON: an integer has too many digits"),
+    "learning_rate_infinity": (2, "bad sentiment.learning_rate: must be finite"),
+    "clip_norm_1e999": (2, "bad sentiment.clip_norm: must be finite"),
+    "predictions_nested_too_deeply": (1, "preds.jsonl: line 1: not valid JSON: nested too deeply"),
+    "predictions_long_integer": (
+        1, "preds.jsonl: line 1: not valid JSON: an integer has too many digits"),
 }
 
 def write_checkpoint(path, kind, text="alpha beta"):
@@ -241,8 +250,16 @@ def bad_input_argv(tmp_path, case):
     paths = {"corpus": corpus, "schema": "dataset-1", "checkpoints": str(tmp_path / "ckpts")}
     _, cfg = write_config(tmp_path)
     train_sentiment = ["train", "--task", "sentiment", "--config", str(tmp_path / "config.json")]
-    if case == "config_top_level_list":
-        (tmp_path / "config.json").write_text("[1]", encoding="utf-8")
+    config_bytes = {
+        "config_top_level_list": b"[1]",
+        "config_nested_too_deeply": b"[" * 200_000,
+        "config_invalid_utf8": b'{"a": "\xff"}',
+        "config_long_integer": b'{"a": ' + b"1" * 5_000 + b"}",
+        "clip_norm_1e999": json.dumps({**cfg, "sentiment": {**cfg["sentiment"], "clip_norm": 12.5}})
+        .replace("12.5", "1e999").encode(),
+    }
+    if case in config_bytes:
+        (tmp_path / "config.json").write_bytes(config_bytes[case])
         return train_sentiment
     if case == "task_section_list":
         write_config(tmp_path, sentiment=[])
@@ -328,6 +345,7 @@ def bad_input_argv(tmp_path, case):
     sentiment_settings = {
         "beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5}, "seed_negative": {"seed": -1},
         "learning_rate_true": {"learning_rate": True}, "sentiment_epoch_misspelled": {"epoch": 500},
+        "learning_rate_infinity": {"learning_rate": math.inf},
     }
     if case in sentiment_settings:
         bad = sentiment_settings[case]
@@ -366,6 +384,8 @@ def bad_input_argv(tmp_path, case):
         (tmp_path / "preds.jsonl").write_bytes({
             "malformed_predictions": b'{"id": "a"\n',
             "predictions_invalid_utf8": b'{"id": "a"}\n{"id": "\xffb"}\n',
+            "predictions_nested_too_deeply": b"[" * 200_000 + b"\n",
+            "predictions_long_integer": b'{"id": ' + b"1" * 5_000 + b"}\n",
         }[case])
         return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"), "--gold", corpus,
                 "--task", "sentiment"]
@@ -382,7 +402,8 @@ def bad_input_argv(tmp_path, case):
 def test_bad_input_exit_code_and_message(sentiment_setup, tmp_path, capsys, case):
     code, fragment = BAD_INPUTS[case]
     assert main(bad_input_argv(tmp_path, case)) == code
-    assert fragment in capsys.readouterr().err.splitlines()[-1]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert fragment in line
 
 
 # For each JSON type of the table, values of the other types.
@@ -454,6 +475,116 @@ def test_every_setting_rejects_a_bad_value(row, data):
             assert main(argv) == 2
         assert f"{row.section}.{row.key}" in err.getvalue().splitlines()[-1]
         assert sorted(p.name for p in tmp.iterdir()) == ["config.json"]
+
+
+# Each kind of file the CLI reads: its file name here, and the exit code the
+# README gives a bad one.
+INPUT_FILES = {
+    "config": ("config.json", 2), "corpus": ("corpus.jsonl", 1),
+    "predictions": ("preds.jsonl", 1), "checkpoint": ("sentiment.ckpt", 2),
+    "vocab": ("vocab.tsv", 2), "lexicon": ("lexicon.txt", 2),
+}
+
+
+def input_config(files: dict, tmp: Path) -> bytes:
+    """A config for the harness commands over ``files``, with numbers in
+    every section; it names no pipeline schema, which the mode implies."""
+    tiny = {"epochs": 1, "batch_size": 4, "learning_rate": 0.002, "max_len": 16, "dev_split_k": 2}
+    return json.dumps({
+        "paths": {"vocab": str(files["vocab"]), "checkpoints": str(tmp / "ckpts")},
+        "encoder": {"d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16, "dropout_rate": 0.1},
+        "sentiment": {**tiny, "corpus": str(files["corpus"]), "schema": "dataset-1"},
+        "match": {**tiny, "loss": "focal", "focal": {"gamma": 2.0, "alpha": 0.25}},
+        "pipeline": {"match_threshold": 0.5, "lexicon": str(files["lexicon"]),
+                     "sentiment_checkpoints": [str(files["checkpoint"])],
+                     "matcher_checkpoints": [str(files["match"])]},
+    }).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file of each kind, and the matcher checkpoint, in one directory."""
+    root = tmp_path_factory.mktemp("inputs")
+    docs = sentiment_corpus(10, seed=4)
+    save_corpus(docs, root / "corpus.jsonl")
+    preds = [{"id": d.id, "sentiment": d.sentiment.value, "prob_negative": 0.25} for d in docs]
+    (root / "preds.jsonl").write_text("".join(json.dumps(p) + "\n" for p in preds))
+    text = " ".join(d.cleaned_text for d in docs)
+    for kind in ("sentiment", "match"):
+        write_checkpoint(root / f"{kind}.ckpt", kind, text)
+    save_vocab(vocab_from_texts([text]), root / "vocab.tsv")
+    (root / "lexicon.txt").write_text("acme\nbluepeak corp\n", encoding="utf-8")
+    files = {kind: root / name for kind, (name, _) in INPUT_FILES.items()}
+    files["match"] = root / "match.ckpt"
+    files["config"].write_bytes(input_config(files, root))
+    return files
+
+
+def mutate(data, raw: bytes, how: str) -> bytes:
+    """``raw`` cut short, with one byte changed, with 0xFF put in, with
+    100,000 ``[`` at the start of a line or after a colon, or with a number
+    (or, where there is none, a digit run) made Infinity, NaN or 1e999."""
+    if how == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1 :]
+    if how in ("0xff", "nest"):
+        spots = [m.end() for m in re.finditer(rb"^|:", raw, re.M)]
+        pos = data.draw(st.sampled_from(spots) if how == "nest" else st.integers(0, len(raw)))
+        return raw[:pos] + (b"\xff" if how == "0xff" else b"[" * 100_000) + raw[pos:]
+    spans = ([m.span(1) for m in re.finditer(rb"[:,\[] ?(-?\d[\d.eE+-]*)", raw)]
+             or [m.span() for m in re.finditer(rb"\d+", raw)] or [(0, 0)])
+    lo, hi = data.draw(st.sampled_from(spans))
+    value = data.draw(st.sampled_from([b"Infinity", b"-Infinity", b"NaN", b"1e999"]))
+    return raw[:lo] + value + raw[hi:]
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_input_exits_as_documented(valid_inputs, kind, data):
+    """A valid file of each kind, damaged or swapped for a directory, either
+    still works (exit 0) or exits with the README's code for its kind (2
+    for a directory), one line on stderr and no output file.  A
+    checkpoint's JSON damage goes into its header, whose length follows; a
+    changed tensor byte loads, as the format has no checksum."""
+    name, code = INPUT_FILES[kind]
+    raw = valid_inputs[kind].read_bytes()
+    how = data.draw(st.sampled_from(["truncate", "flip", "0xff", "nest", "infinity", "directory"]),
+                    label="how")
+    if how == "directory":
+        damaged, code = None, 2
+    elif kind == "checkpoint" and how not in ("truncate", "flip"):
+        n = int.from_bytes(raw[12:20], "little")
+        header = mutate(data, raw[20 : 20 + n], how)
+        damaged = raw[:12] + len(header).to_bytes(8, "little") + header + raw[20 + n :]
+    else:
+        damaged = mutate(data, raw, how)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {**valid_inputs, kind: tmp / name}
+        if damaged is None:
+            files[kind].mkdir()
+        else:
+            files[kind].write_bytes(damaged)
+        if kind != "config":
+            files["config"] = tmp / "config.json"
+            files["config"].write_bytes(input_config(files, tmp))
+        argv = {
+            "corpus": ["build-vocab", "--corpus", str(files["corpus"]), "--schema", "dataset-1",
+                       "--out", str(tmp / "built.tsv")],
+            "predictions": ["evaluate", "--predictions", str(files["predictions"]),
+                            "--gold", str(files["corpus"]), "--task", "sentiment"],
+            "vocab": ["train", "--task", "sentiment", "--config", str(files["config"])],
+        }.get(kind, ["pipeline", "--config", str(files["config"]), "--input",
+                     str(files["corpus"]), "--output", str(tmp / "out.jsonl")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        if rc != 0:
+            assert (rc, len(err.getvalue().splitlines())) == (code, 1), err.getvalue()
+            assert {p.name for p in tmp.iterdir()} == {name, "config.json"}  # no output
 
 
 def test_readme_config_passes_and_names_every_key(tmp_path):
@@ -743,5 +874,5 @@ class TestEvaluateCommand:
         pred_path, gold_path = self.write_pair(tmp_path, preds, golds)
         rc = main(["evaluate", "--predictions", pred_path, "--gold", gold_path, "--task", "sentiment"])
         assert rc == 1
-        out = capsys.readouterr().out
-        assert "a" in out or "zz" in out
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "data error: id mismatch between predictions and gold corpus: 'a'"

@@ -548,13 +548,17 @@ class TestCheckpointSerialization:
             load_checkpoint(path)
 
 
+def _replace_header(raw: bytes, blob: bytes) -> bytes:
+    """A checkpoint with ``blob`` as its header and the tensor bytes kept."""
+    n = int.from_bytes(raw[12:20], "little")
+    return raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :]
+
+
 def _edit_header(raw: bytes, edit) -> bytes:
     """A checkpoint with its JSON header changed by ``edit`` and the tensor bytes kept."""
-    n = int.from_bytes(raw[12:20], "little")
-    header = json.loads(raw[20 : 20 + n])
+    header = json.loads(raw[20 : 20 + int.from_bytes(raw[12:20], "little")])
     edit(header)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :]
+    return _replace_header(raw, json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _drop_tensor(header, name="encoder.layers.0.bq"):
@@ -581,6 +585,17 @@ MALFORMED_CHECKPOINTS = {
     ),
     "vocab_size_mismatch": (
         lambda raw: _edit_header(raw, lambda h: h["vocab"].pop()), "vocab_size is"
+    ),
+    "header_nested_too_deeply": (
+        lambda raw: _replace_header(raw, b"[" * 200_000), "not valid JSON: nested too deeply"
+    ),
+    "vocab_without_reserved_tokens": (
+        lambda raw: _edit_header(raw, lambda h: h.update(vocab=list("abcd") + h["vocab"][4:])),
+        "vocabulary must be strings, the reserved tokens first",
+    ),
+    "vocab_of_integers": (
+        lambda raw: _edit_header(raw, lambda h: h.update(vocab=list(range(len(h["vocab"]))))),
+        "vocabulary must be strings, the reserved tokens first",
     ),
 }
 
