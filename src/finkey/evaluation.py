@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .corpus import Document, Lexicon, MrcExample, PairExample, SentimentLabel, rule_match_entities
 from .encoder import check_config
 from .tasks import (
@@ -26,7 +28,7 @@ from .training import Checkpoint, EncoderConfig, TrainConfig, train
 # Documents per pipeline block: each block makes one batched forward per
 # member, stage and length group, so larger blocks make fewer, larger calls
 # and hold more rows at once (measured in the README).
-_BLOCK_DOCS = 16
+_BLOCK_DOCS = 32
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,15 @@ def vote_key_entities(
     kept = []
     for i, entity in enumerate(entity_lists[0]):
         votes = sum(member[i][1] >= score_threshold for member in member_scores)
-        if 2 * votes > len(member_scores):
+        if _majority(votes, len(member_scores)):
             kept.append(entity)
     return kept
+
+
+def _majority(votes, members: int):
+    """The key-entity rule: more than half of ``members`` vote for (elementwise
+    for an array of vote counts)."""
+    return 2 * votes > members
 
 
 @dataclass
@@ -158,6 +166,60 @@ def _member_predictions(task: Task, members: Sequence[Checkpoint], items: list) 
     return out
 
 
+def _vote_pairs(
+    task: MatchTask, members: Sequence[Checkpoint], groups: list[list], threshold: float, counters
+) -> list:
+    """Each group's key entities by majority vote over the members, or the
+    group's encoding error, a str.
+
+    The result is what vote_key_entities gives over every member's scores,
+    but the members run in order and each scores only the pairs whose vote
+    is still open: a pair is kept once a majority of all members scores it
+    at or above the threshold, and dropped once the members left cannot
+    make one.  The pairs are encoded once per distinct member max_len
+    before any forward.  A group with a pair that does not encode gets the
+    first such error in member order, then pair order, and none of its
+    pairs is scored.  Adds the scores made to ``counters["stage2_scores"]``.
+    """
+    pairs = [x for group in groups for x in group]
+    encoded = {}
+    for member in members:
+        max_len = member.encoder_config.max_len
+        if max_len not in encoded:
+            encoded[max_len] = task.encode(pairs, member.vocab, max_len)
+    member_errors = [encoded[m.encoder_config.max_len].errors for m in members]
+    spans, start = [], 0
+    for group in groups:
+        spans.append(range(start, start + len(group)))
+        start += len(group)
+    out = [next((e[i] for e in member_errors for i in span if i in e), None) for span in spans]
+    open_ = np.array(
+        [i for span, error in zip(spans, out) if error is None for i in span], dtype=np.int64
+    )
+    # The row of each pair in each encoding (rows skip the pairs that did not encode).
+    row_of = {
+        max_len: np.cumsum([i not in data.errors for i in range(len(pairs))]) - 1
+        for max_len, data in encoded.items()
+    }
+    n = len(members)
+    votes_for = np.zeros(len(pairs), dtype=np.int64)
+    for ran, member in enumerate(members, start=1):
+        if not open_.size:
+            break
+        max_len = member.encoder_config.max_len
+        scores = member.predict(task, encoded[max_len].rows(row_of[max_len][open_]))
+        counters["stage2_scores"] += open_.size
+        votes_for[open_] += np.array(scores, dtype=np.float64) >= threshold
+        # Open: not yet a majority, and still one if every member left votes for.
+        votes = votes_for[open_]
+        open_ = open_[~_majority(votes, n) & _majority(votes + (n - ran), n)]
+    kept = _majority(votes_for, n)
+    for g, (span, group) in enumerate(zip(spans, groups)):
+        if out[g] is None:
+            out[g] = [x.entity for i, x in zip(span, group) if kept[i]]
+    return out
+
+
 def _stage2_inputs(doc: Document, mode: str, lexicon, template: str) -> list:
     """The (entity, text) pairs or the one question of a negative document."""
     if mode == "coarse":
@@ -191,12 +253,15 @@ def run_pipeline(
     entity list (coarse mode; a lexicon can stand in for missing lists) or
     extracts the tag-conditioned answer span (fine mode).  Each stage makes
     one batched prediction per member over a block: its documents, then
-    the (entity, text) pairs or questions of its negative documents.  Each
-    text and pair is tokenized once per distinct member max_len.  A
-    document that cannot be encoded gets an error and the rest of its
-    block goes on.  Results keep the input order.  Bad arguments, such as
-    a fine-mode ``template`` without exactly one ``{tag}``, raise
-    ValueError before any document is read.
+    the (entity, text) pairs or questions of its negative documents.  In
+    coarse mode each matcher scores only the pairs whose majority vote is
+    still open (``_vote_pairs``), which leaves every output as a vote over
+    all scores would; ``counters["stage2_scores"]`` counts the stage-2
+    predictions made.  Each text and pair is tokenized once per distinct
+    member max_len.  A document that cannot be encoded gets an error and
+    the rest of its block goes on.  Results keep the input order.  Bad
+    arguments, such as a fine-mode ``template`` without exactly one
+    ``{tag}``, raise ValueError before any document is read.
     """
     if mode not in ("coarse", "fine"):
         raise ValueError("mode must be 'coarse' or 'fine'")
@@ -222,7 +287,8 @@ def run_pipeline(
         raise ValueError("match_threshold must lie in [0, 1]")
 
     counters = dict.fromkeys(
-        ("processed", "predicted_negative", "predicted_positive", "empty_entity_list", "errors"), 0
+        ("processed", "predicted_negative", "predicted_positive", "empty_entity_list", "errors",
+         "stage2_scores"), 0
     )
     results = []
     for start in range(0, len(docs), _BLOCK_DOCS):
@@ -250,22 +316,22 @@ def run_pipeline(
                 continue
             pending.append((result, inputs))
 
-        stage2 = _member_predictions(
-            stage2_task, stage2_members, [x for _, inputs in pending for x in inputs]
-        )
-        pos = 0
-        for result, inputs in pending:
-            rows = [preds[pos : pos + len(inputs)] for preds in stage2]
-            pos += len(inputs)
-            error = next((p for member in rows for p in member if isinstance(p, str)), None)
-            if error is not None:
-                result.error = error
+        if mode == "coarse":
+            outcomes = _vote_pairs(
+                stage2_task, stage2_members, [inputs for _, inputs in pending], match_threshold,
+                counters,
+            )
+        else:
+            (outcomes,) = _member_predictions(
+                stage2_task, stage2_members, [inputs[0] for _, inputs in pending]
+            )
+            counters["stage2_scores"] += sum(not isinstance(p, str) for p in outcomes)
+        for (result, _), outcome in zip(pending, outcomes):
+            if isinstance(outcome, str):
+                result.error = outcome
                 counters["errors"] += 1
             elif mode == "coarse":
-                result.key_entities = vote_key_entities(
-                    [[(x.entity, score) for x, score in zip(inputs, member)] for member in rows],
-                    match_threshold,
-                )
+                result.key_entities = outcome
             else:
-                result.span_text = rows[0][0].text
+                result.span_text = outcome.text
     return PipelineResult(documents=results, counters=counters)

@@ -324,8 +324,9 @@ class Task:
     all go through these operations.  ``loss_and_grad`` takes the training
     forward's hidden states and returns (loss, head gradients, gradient on
     the hidden states); ``predict`` takes inference hidden states from
-    ``forward_inference`` and returns one prediction per row, applying the
-    head row by row so that a row's prediction does not depend on the batch.
+    ``forward_inference`` and returns one prediction per row.  The head's
+    matrix product runs row by row so that a row's prediction does not
+    depend on the batch; the elementwise steps after it run over all rows.
     A ``pooled`` task's head reads the [CLS] row only, so ``run`` asks
     ``forward_inference`` for a pooled forward.
     """
@@ -408,17 +409,16 @@ class SentimentTask(Task):
 
     def predict(self, head, hidden, batch) -> list[SentimentPrediction]:
         """The label is negative exactly when prob_negative >= 0.5."""
-        out = []
-        for logits in hidden[:, :1, :] @ head.w + head.b:
-            z = logits[0] - logits[0].max()
-            e = np.exp(z)
-            probs = e / e.sum()
-            prob_negative = float(probs[NEGATIVE_INDEX])
-            label = (
-                SentimentLabel.NEGATIVE if prob_negative >= 0.5 else SentimentLabel.POSITIVE
+        logits = (hidden[:, :1, :] @ head.w + head.b)[:, 0]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        return [
+            SentimentPrediction(
+                label=SentimentLabel.NEGATIVE if p >= 0.5 else SentimentLabel.POSITIVE,
+                prob_negative=p,
             )
-            out.append(SentimentPrediction(label=label, prob_negative=prob_negative))
-        return out
+            for p in probs[:, NEGATIVE_INDEX].tolist()
+        ]
 
     def dev_metric(self, preds, data: Encoded) -> float:
         """Accuracy."""
@@ -454,7 +454,7 @@ class MatchTask(Task):
 
     def predict(self, head, hidden, batch) -> list[float]:
         """Key-entity probability of each (entity, text) row."""
-        return [float(expit(z[0] + head.b[0])) for z in hidden[:, :1, :] @ head.w]
+        return expit((hidden[:, :1, :] @ head.w)[:, 0] + head.b[0]).tolist()
 
     def dev_metric(self, scores, data: Encoded) -> float:
         """Entity F1 over documents, at the decision threshold."""

@@ -347,7 +347,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     Raises ValueError naming ``path`` unless the file holds a complete
     header, a tensor index equal to the one the encoder config and head kind
     imply (names, shapes and dtype, stored back to back), exactly that many
-    tensor bytes, and a vocabulary of ``vocab_size`` tokens.
+    tensor bytes, no NaN or infinite value in them, and a vocabulary of
+    ``vocab_size`` tokens.
     """
     try:
         return _read_checkpoint(Path(path).read_bytes())
@@ -376,6 +377,11 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         raise ValueError(f"tensor section is {len(raw) - base} bytes, expected {nbytes}")
     dtype = np.dtype(enc_cfg.np_dtype)
     flat = np.frombuffer(raw, dtype, nbytes // dtype.itemsize, base).copy()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        at = int(np.argmin(finite)) * dtype.itemsize  # byte offset of the first bad value
+        bad = next(e["name"] for e in index if at < e["offset"] + e["nbytes"])
+        raise ValueError(f"tensor {bad} holds a non-finite value")
     model = ParamStore(flat, enc_cfg, head_kind)
     return Checkpoint(
         encoder_params=model.encoder,

@@ -149,6 +149,8 @@ BAD_INPUTS = {
     "truncated_checkpoint": (2, "tensor section is"),
     "checkpoint_missing_tensor": (2, "tensor index differs"),
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
+    "checkpoint_nan_tensor": (2, "tensor encoder.embedding holds a non-finite value"),
+    "checkpoint_inf_tensor": (2, "tensor encoder.embedding holds a non-finite value"),
     "beta2_one": (2, "bad sentiment.beta2: must be in [0, 1)"),
     "epochs_float": (2, "bad sentiment.epochs: expected an integer, got 1.5"),
     "seed_negative": (2, "bad sentiment.seed: must be >= 0"),
@@ -207,16 +209,21 @@ def write_checkpoint(path, kind, text="alpha beta"):
 
 def write_bad_checkpoint(path, case):
     """A small sentiment checkpoint, cut short, with a bit of its header
-    length flipped, or with one tensor left out of its index."""
+    length flipped, with NaN or infinity as its first tensor value, or with
+    one tensor left out of its index."""
     write_checkpoint(path, "sentiment")
     raw = path.read_bytes()
+    n = int.from_bytes(raw[12:20], "little")
+    if case in ("checkpoint_nan_tensor", "checkpoint_inf_tensor"):
+        value = np.float32(np.nan if "nan" in case else np.inf)
+        path.write_bytes(raw[: 20 + n] + value.tobytes() + raw[24 + n :])
+        return
     if case == "truncated_checkpoint":
         path.write_bytes(raw[:-100])
         return
     if case == "checkpoint_header_length_flipped":
         path.write_bytes(raw[:17] + bytes([raw[17] ^ 0x10]) + raw[18:])
         return
-    n = int.from_bytes(raw[12:20], "little")
     header = json.loads(raw[20 : 20 + n])
     header["tensors"].pop(1)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -404,6 +411,16 @@ def test_bad_input_exit_code_and_message(sentiment_setup, tmp_path, capsys, case
     assert main(bad_input_argv(tmp_path, case)) == code
     (line,) = capsys.readouterr().err.splitlines()
     assert fragment in line
+
+
+@pytest.mark.parametrize("case", ["checkpoint_nan_tensor", "checkpoint_inf_tensor"])
+def test_non_finite_checkpoint_writes_no_output(sentiment_setup, tmp_path, capsys, case):
+    """A checkpoint that loaded with NaN in it made every document positive
+    with "prob_negative": NaN; now the pipeline stops before its output."""
+    assert main(bad_input_argv(tmp_path, case)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith("bad.ckpt: tensor encoder.embedding holds a non-finite value")
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 # For each JSON type of the table, values of the other types.

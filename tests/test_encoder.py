@@ -26,6 +26,7 @@ from finkey.encoder import (
     _layer_norm,
     _layer_norm_backward,
     _merge_heads,
+    _normal_cdf,
     _scatter_add_rows,
     _softmax_backward,
     _softmax_last,
@@ -513,6 +514,45 @@ class TestGelu:
         before = x.copy()
         gelu(x, return_cdf=True)
         assert x.tobytes() == before.tobytes()
+
+
+def strided_floats(dtype, step=257, chunk=1 << 20):
+    """Every ``step``-th bit pattern of a float32, or of a float64's high 32
+    bits (its low 32 bits drawn at random), in chunks, then signed zeros,
+    subnormals, the extremes, infinities and NaN."""
+    rng = np.random.default_rng(0)
+    for start in range(0, 1 << 32, step * chunk):
+        bits = np.arange(start, min(start + step * chunk, 1 << 32), step, dtype=np.uint64)
+        if dtype is np.float32:
+            yield bits.astype(np.uint32).view(np.float32)
+        else:
+            low = rng.integers(0, 1 << 32, bits.size, np.uint64)
+            yield ((bits << np.uint64(32)) | low).view(np.float64)
+    info = np.finfo(dtype)
+    largest_subnormal = np.nextafter(info.smallest_normal, dtype(0))
+    special = np.array(
+        [0.0, info.smallest_subnormal, largest_subnormal, info.smallest_normal, info.max, np.inf,
+         np.nan], dtype,
+    )
+    yield np.concatenate([special, -special])
+
+
+class TestErfFold:
+    """Phi(x) takes erf of |x| / sqrt 2 and puts the sign back; scipy's erf
+    is odd to the bit, so Phi keeps the bits of erf(x / sqrt 2).  CI checks
+    the oddness on every float32."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_normal_cdf_keeps_the_bits(self, dtype):
+        for x in strided_floats(dtype):
+            nan = np.isnan(x)
+            with np.errstate(all="ignore"):
+                got = _normal_cdf(x)
+                u = x / math.sqrt(2.0)
+                want = 0.5 * (1.0 + erf(u))
+                assert same_bits(erf(-u[~nan]), -erf(u[~nan]))
+            assert np.array_equal(np.isnan(got), nan)
+            assert same_bits(got[~nan], want[~nan])
 
 
 # The kernels as written before they worked in place, kept verbatim as the

@@ -1,11 +1,14 @@
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finkey.evaluation
 import finkey.tasks
-from finkey.corpus import Document, SentimentLabel, clean_text, Lexicon
+import finkey.training
+from finkey.corpus import Document, Lexicon, PairExample, SentimentLabel, clean_text
 from finkey.encoder import EncoderConfig
 from finkey.evaluation import (
     EnsembleSpec,
@@ -14,7 +17,8 @@ from finkey.evaluation import (
     vote_key_entities,
     vote_sentiment,
 )
-from finkey.tasks import EntityMetrics, SentimentPrediction, accuracy, entity_prf
+from finkey.tasks import EntityMetrics, MatchTask, SentimentPrediction, accuracy, entity_prf
+from finkey.tokenizer import encode_pair, vocab_from_texts
 from finkey.training import TrainConfig, train
 
 NEG = SentimentLabel.NEGATIVE
@@ -507,3 +511,160 @@ class TestRunPipeline:
                 mode="coarse",
                 matcher_members=matcher_members,
             )
+
+
+VOTE_VOCAB = vocab_from_texts(["loss gain alpha beta"])
+
+
+@dataclass
+class StubMatcher:
+    """A matcher that answers from a table of scores and records what it
+    was asked to score."""
+
+    scores: dict  # entity -> score
+    asked: list = field(default_factory=list)
+    vocab = VOTE_VOCAB
+    encoder_config = SMALL_ENC
+
+    def predict(self, task, data):
+        self.asked += [x.entity for x in data.items]
+        return [self.scores[x.entity] for x in data.items]
+
+
+def eager_key_entities(members, inputs, threshold):
+    """The vote over every member's scores of every pair of one document."""
+    task = MatchTask()
+    member_scores = []
+    for m in members:
+        scores = m.predict(task, task.encode(inputs, m.vocab, m.encoder_config.max_len))
+        member_scores.append([(x.entity, s) for x, s in zip(inputs, scores)])
+    return vote_key_entities(member_scores, threshold)
+
+
+def _matcher_docs(n, entities, seed):
+    """Negative-leaning documents whose entity lists hold ``entities``."""
+    return [replace(doc, entity_list=list(entities)) for doc in tiny_corpus(n, seed=seed)]
+
+
+class TestLazyKeyEntityVote:
+    """In coarse mode each matcher scores only the pairs whose vote is still
+    open; every output stays what a vote over all scores gives."""
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equal_to_vote_over_all_scores_and_no_decided_pair_scored(
+        self, m, sizes, threshold, data
+    ):
+        levels = [0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.75,
+                  np.nextafter(1.0, 0.0), 1.0]
+        groups = [
+            [PairExample(f"d{g}", f"e{g}x{j}", "loss alpha beta") for j in range(size)]
+            for g, size in enumerate(sizes)
+        ]
+        entities = [x.entity for group in groups for x in group]
+        members = [
+            StubMatcher({e: data.draw(st.sampled_from(levels)) for e in entities})
+            for _ in range(m)
+        ]
+        counters = {"stage2_scores": 0}
+        got = finkey.evaluation._vote_pairs(MatchTask(), members, groups, threshold, counters)
+        assert got == [
+            vote_key_entities(
+                [[(x.entity, s.scores[x.entity]) for x in group] for s in members], threshold
+            )
+            for group in groups
+        ]
+        # Member k is asked for exactly the pairs members 0..k-1 left open.
+        for k, member in enumerate(members):
+            votes = [sum(s.scores[e] >= threshold for s in members[:k]) for e in entities]
+            assert member.asked == [
+                e for e, v in zip(entities, votes) if 2 * v <= m and 2 * (k - v) < m
+            ]
+        assert counters["stage2_scores"] == sum(len(s.asked) for s in members)
+
+    @pytest.mark.parametrize("n_members", [3, 4])
+    def test_pipeline_equal_to_eager_vote(self, sentiment_members, matcher_members, n_members):
+        first = matcher_members[0]
+        shifted = replace(first, head=replace(first.head, b=first.head.b + np.float32(0.3)))
+        members = (list(matcher_members) + [shifted])[:n_members]
+        docs = _matcher_docs(24, ["alpha", "beta", "loss", "gain", "alpha beta"], seed=21)
+        task = MatchTask()
+        pairs = [PairExample(d.id, e, d.cleaned_text) for d in docs for e in d.entity_list]
+        all_scores = [s for m in members for s in m.predict(task, task.encode(pairs, m.vocab, 12))]
+        threshold = float(np.median(all_scores))  # the members split on many pairs
+        negative = _biased(sentiment_members, [50.0, 0.0])
+        result = run_pipeline(
+            docs, negative, mode="coarse", matcher_members=members, match_threshold=threshold
+        )
+        kept = [r.key_entities for r in result.documents]
+        assert kept == [
+            eager_key_entities(
+                members, [PairExample(d.id, e, d.cleaned_text) for e in d.entity_list], threshold
+            )
+            for d in docs
+        ]
+        assert any(0 < len(k) < 5 for k in kept)
+        assert result.counters["stage2_scores"] < n_members * len(pairs)
+
+    @pytest.mark.parametrize("bias", [50.0, -50.0])
+    def test_third_matcher_skipped_when_two_agree(
+        self, sentiment_members, matcher_members, monkeypatch, bias
+    ):
+        agreeing = [
+            replace(m, head=replace(m.head, b=np.array([bias], dtype=m.head.b.dtype)))
+            for m in matcher_members[:2]
+        ]
+        members = agreeing + [matcher_members[2]]
+        rows = []
+        predict = finkey.training.Checkpoint.predict
+        monkeypatch.setattr(
+            finkey.training.Checkpoint, "predict",
+            lambda self, task, data: rows.append((id(self), data.n)) or predict(self, task, data),
+        )
+        docs = _matcher_docs(20, ["alpha", "beta", "loss"], seed=4)
+        negative = _biased(sentiment_members, [50.0, 0.0])
+        result = run_pipeline(docs, negative, mode="coarse", matcher_members=members)
+        assert sum(n for who, n in rows if who == id(members[2])) == 0
+        assert result.counters["stage2_scores"] == 2 * 3 * len(docs)
+        expected = ["alpha", "beta", "loss"] if bias > 0 else []
+        assert all(r.key_entities == expected for r in result.documents)
+
+    @pytest.mark.parametrize("short_first", [False, True])
+    def test_encode_error_is_the_first_in_member_then_pair_order(
+        self, sentiment_members, matcher_members, short_first
+    ):
+        # max_len 6 leaves room for a 3-token entity with a 1-token text,
+        # max_len 12 for a 9-token one.
+        first = matcher_members[0]
+        short = replace(first, encoder_config=replace(first.encoder_config, max_len=6))
+        members = [short, *matcher_members[1:]] if short_first else [*matcher_members[:2], short]
+        fits_long = "alpha beta alpha beta"  # too long at max_len 6 only
+        fits_none = "alpha " * 12  # too long at both
+        docs = [
+            Document("a", "loss", "loss", entity_list=["alpha", fits_long, fits_none]),
+            Document("b", "loss", "loss", entity_list=[fits_long, "beta"]),
+            Document("c", "loss", "loss", entity_list=["alpha", "beta"]),
+        ]
+
+        def message(entity, max_len):
+            with pytest.raises(ValueError) as err:
+                encode_pair(entity, "loss", VOTE_VOCAB, max_len)
+            return str(err.value)
+
+        negative = _biased(sentiment_members, [50.0, 0.0])
+        result = run_pipeline(docs, negative, mode="coarse", matcher_members=members)
+        a, b, c = result.documents
+        # The first member with an error decides; within it, the first pair.
+        assert a.error == (message(fits_long, 6) if short_first else message(fits_none, 12))
+        assert b.error == message(fits_long, 6)
+        assert c.error is None
+        assert c.key_entities == eager_key_entities(
+            members, [PairExample("c", e, "loss") for e in ("alpha", "beta")], 0.5
+        )
+        assert result.counters["errors"] == 2
+        assert result.counters["stage2_scores"] <= 2 * len(members)  # doc c's pairs only

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import finkey.encoder
 from finkey.corpus import Document, MrcExample, PairExample, SentimentLabel
@@ -13,6 +14,7 @@ from finkey.tasks import (
     FocalConfig,
     MatchTask,
     SentimentHead,
+    SentimentPrediction,
     SentimentTask,
     SpanHead,
     SpanTask,
@@ -583,6 +585,47 @@ class TestPooledRun:
             full = finkey.encoder.forward_inference(params, cfg, data.ids, data.mask)
             assert task.run(params, cfg, head, data) == task.predict(head, full, data)
         assert not SpanTask.pooled
+
+
+def row_loop_sentiment(head, hidden):
+    """SentimentTask.predict as it was: the softmax taken one row at a time."""
+    out = []
+    for logits in hidden[:, :1, :] @ head.w + head.b:
+        z = logits[0] - logits[0].max()
+        e = np.exp(z)
+        p = float((e / e.sum())[0])
+        label = SentimentLabel.NEGATIVE if p >= 0.5 else SentimentLabel.POSITIVE
+        out.append(SentimentPrediction(label, p))
+    return out
+
+
+def row_loop_match(head, hidden):
+    """MatchTask.predict as it was: expit taken one row at a time."""
+    return [float(expit(z[0] + head.b[0])) for z in hidden[:, :1, :] @ head.w]
+
+
+class TestHeadPostProcessing:
+    """The softmax and expit after the row-wise head product run once over
+    all rows and give the bits of the former row loop."""
+
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 1000),
+        st.sampled_from([1e-3, 0.1, 1.0, 10.0, 300.0]),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equal_to_row_loop(self, dtype, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        d = 16
+        hidden = rng.standard_normal((n, 2, d)).astype(dtype)
+        for task, reference in (
+            (SentimentTask(), row_loop_sentiment), (MatchTask(), row_loop_match)
+        ):
+            head = init_head(task.head_kind, d, rng, dtype)
+            head.w *= dtype(scale)
+            head.b[...] = rng.uniform(-scale, scale, head.b.shape)
+            assert task.predict(head, hidden, None) == reference(head, hidden)
 
 
 class TestClassicalHeads:

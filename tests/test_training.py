@@ -565,6 +565,16 @@ def _drop_tensor(header, name="encoder.layers.0.bq"):
     header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
 
 
+def _set_value(raw: bytes, value: float, last: bool = False) -> bytes:
+    """A checkpoint with the first value of its first tensor, encoder.embedding,
+    or the last value of its last tensor set to ``value``."""
+    base = 20 + int.from_bytes(raw[12:20], "little")
+    blob = np.array(value, np.dtype(json.loads(raw[20:base])["tensors"][0]["dtype"])).tobytes()
+    if last:
+        return raw[: len(raw) - len(blob)] + blob
+    return raw[:base] + blob + raw[base + len(blob) :]
+
+
 MALFORMED_CHECKPOINTS = {
     "truncated_header": (lambda raw: raw[:60], "truncated checkpoint header"),
     "truncated_tail": (lambda raw: raw[:-100], "tensor section is"),
@@ -596,6 +606,15 @@ MALFORMED_CHECKPOINTS = {
     "vocab_of_integers": (
         lambda raw: _edit_header(raw, lambda h: h.update(vocab=list(range(len(h["vocab"]))))),
         "vocabulary must be strings, the reserved tokens first",
+    ),
+    "nan_tensor": (
+        lambda raw: _set_value(raw, np.nan), "tensor encoder.embedding holds a non-finite value"
+    ),
+    "inf_tensor": (
+        lambda raw: _set_value(raw, -np.inf), "tensor encoder.embedding holds a non-finite value"
+    ),
+    "inf_in_last_tensor": (
+        lambda raw: _set_value(raw, np.inf, last=True), "tensor head.b holds a non-finite value"
     ),
 }
 
