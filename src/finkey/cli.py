@@ -146,13 +146,16 @@ _JSON_TYPES = {
 }
 
 
-def _build(section: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a config dataclass's ValueError, which starts
-    with the name of the field at fault, is a ConfigError naming ``section.field``."""
+def _build(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: a CorpusError passes through as a data error,
+    and any other ValueError is a ConfigError, its message after ``prefix``
+    (``bad section.`` names the field a config dataclass's error starts with)."""
     try:
         return make(*args, **kwargs)
+    except CorpusError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"bad {section}.{exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _read_section(section: str, data, values: dict) -> dict:
@@ -172,10 +175,7 @@ def _read_section(section: str, data, values: dict) -> dict:
             article = "an" if row.type[0] in "aio" else "a"
             raise ConfigError(f"bad {section}.{key}: expected {article} {row.type}, got {value!r}")
         if row.check is not None:
-            try:
-                row.check(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad {section}.{key}: {exc}") from None
+            _build(f"bad {section}.{key}: ", row.check, value)
     for key, row in rows.items():
         values[f"{section}.{key}"] = data.get(key, row.default)
     return {key: value for key, value in data.items() if rows[key].owner}
@@ -204,14 +204,14 @@ def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]
         kwargs = owned[task]
         if kwargs.get("focal") is not None:
             focal = _read_section(f"{task}.focal", kwargs["focal"], values)
-            kwargs["focal"] = _build(f"{task}.focal", FocalConfig, **focal)
+            kwargs["focal"] = _build(f"bad {task}.focal.", FocalConfig, **focal)
         if seed is not None:
             kwargs["seed"] = seed
-        values[task] = _build(task, TrainConfig, task=task, **kwargs)
+        values[task] = _build(f"bad {task}.", TrainConfig, task=task, **kwargs)
     # A stand-in vocab_size: train sets the real one from its vocabulary.
-    values["encoder"] = _build("encoder", EncoderConfig, vocab_size=4, **owned["encoder"])
+    values["encoder"] = _build("bad encoder.", EncoderConfig, vocab_size=4, **owned["encoder"])
     seeds, top_m = tuple(values["ensemble.seeds"]), values["ensemble.top_m"]
-    values["ensemble"] = _build("ensemble", EnsembleSpec, seeds, top_m)
+    values["ensemble"] = _build("bad ensemble.", EnsembleSpec, seeds, top_m)
     return raw, values
 
 
@@ -242,10 +242,7 @@ def _train_kwargs(values: dict, task: str) -> dict:
     kwargs = dict(encoder=values["encoder"], vocab=None)
     path = values["paths.vocab"]
     if path is not None:
-        try:
-            kwargs["vocab"] = load_vocab(path)
-        except ValueError as exc:
-            raise ConfigError(f"bad vocab file {path}: {exc}") from None
+        kwargs["vocab"] = _build(f"bad vocab file {path}: ", load_vocab, path)
     if task == "mrc":
         kwargs["max_span_len"] = values["mrc.max_span_len"]
     return kwargs
@@ -293,20 +290,12 @@ def _task_dataset(values: dict, task: str):
     return labeled
 
 
-def _document_folds(dataset, k: int, seed: int, setting: str):
-    """document_folds; a fold count the corpus cannot fill is a
-    configuration error naming ``setting``."""
-    try:
-        return document_folds(dataset, k, seed)
-    except ValueError as exc:
-        raise ConfigError(f"bad {setting}: {exc}") from None
-
-
 def _holdout_split(dataset, values: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
     setting = f"{task}.dev_split_k"
-    return holdout(dataset, _document_folds(dataset, values[setting], seed, setting).folds[0])
+    split = _build(f"bad {setting}: ", document_folds, dataset, values[setting], seed)
+    return holdout(dataset, split.folds[0])
 
 
 def _checkpoint_dir(values: dict) -> Path:
@@ -374,7 +363,7 @@ def cmd_crossval(args) -> int:
     cfg, values = _load_config(args.config, args.seed)
     tc = values[args.task]
     dataset = _task_dataset(values, args.task)
-    _document_folds(dataset, args.k, tc.seed, "--k")
+    _build("bad --k: ", document_folds, dataset, args.k, tc.seed)
     result = cross_validate(dataset, tc, args.k, **_train_kwargs(values, args.task))
     report = {
         "task": args.task,
@@ -422,13 +411,7 @@ def cmd_ensemble(args) -> int:
 
 
 def _load_checkpoints(paths) -> list[Checkpoint]:
-    loaded = []
-    for path in paths:
-        try:
-            loaded.append(load_checkpoint(path))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return loaded
+    return [_build("", load_checkpoint, path) for path in paths]
 
 
 def cmd_pipeline(args) -> int:
@@ -448,26 +431,17 @@ def cmd_pipeline(args) -> int:
     lexicon = None
     lexicon_path = values["pipeline.lexicon"]
     if lexicon_path is not None:
-        try:
-            entries = Path(lexicon_path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"bad pipeline.lexicon {lexicon_path}: {exc}") from None
-        lexicon = Lexicon.from_strings(entries)
+        text = _build(f"bad pipeline.lexicon {lexicon_path}: ", Path(lexicon_path).read_text,
+                      encoding="utf-8")
+        lexicon = Lexicon.from_strings(text.splitlines())
 
-    try:  # run_pipeline checks its arguments before it reads a document
-        result = run_pipeline(
-            docs,
-            sentiment_members,
-            mode=mode,
-            matcher_members=matcher_members,
-            mrc_checkpoint=mrc_checkpoint,
-            match_threshold=values["pipeline.match_threshold"],
-            template=values["mrc.template"],
-            lexicon=lexicon,
-            max_span_len=values["mrc.max_span_len"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad pipeline section: {exc}") from None
+    # run_pipeline checks its arguments before it reads a document.
+    result = _build(
+        "bad pipeline section: ", run_pipeline, docs, sentiment_members, mode=mode,
+        matcher_members=matcher_members, mrc_checkpoint=mrc_checkpoint,
+        match_threshold=values["pipeline.match_threshold"], template=values["mrc.template"],
+        lexicon=lexicon, max_span_len=values["mrc.max_span_len"],
+    )
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -569,12 +543,9 @@ def cmd_search(args) -> int:
     cfg, values = _load_config(args.config, args.seed)
     tc = values[args.task]
     dataset = _task_dataset(values, args.task)
-    _document_folds(dataset, args.k, tc.seed, "--k")
+    _build("bad --k: ", document_folds, dataset, args.k, tc.seed)
     deltas, kwargs = values["search.deltas"], _train_kwargs(values, args.task)
-    try:
-        result = neighborhood_search(tc, deltas, dataset, args.k, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    result = _build("", neighborhood_search, tc, deltas, dataset, args.k, **kwargs)
     report = {
         "task": args.task,
         "k": args.k,

@@ -147,20 +147,22 @@ def _check_shared_vocab(checkpoints: list[Checkpoint]):
             raise ValueError("pipeline checkpoints do not share a vocabulary")
 
 
-def _member_predictions(task: Task, members: Sequence[Checkpoint], items: list) -> list[list]:
-    """Each member's predictions over the items, in item order.
-
-    The items are encoded once per distinct member max_len (members share
-    one vocabulary, so max_len fixes the encoding).  An item that does not
-    encode gets its error message, a str, in place of a prediction.
-    """
+def _encodings(task: Task, members: Sequence[Checkpoint], items: list) -> list:
+    """Each member's encoding of the items, made once per distinct member
+    max_len (members share one vocabulary, so max_len fixes the encoding)."""
     encoded = {}
-    out = []
     for member in members:
         max_len = member.encoder_config.max_len
         if max_len not in encoded:
             encoded[max_len] = task.encode(items, member.vocab, max_len)
-        data = encoded[max_len]
+    return [encoded[member.encoder_config.max_len] for member in members]
+
+
+def _member_predictions(task: Task, members: Sequence[Checkpoint], items: list) -> list[list]:
+    """Each member's predictions over the items, in item order, with its
+    error message, a str, in place of each item that does not encode."""
+    out = []
+    for member, data in zip(members, _encodings(task, members, items)):
         preds = iter(member.predict(task, data))
         out.append([data.errors[i] if i in data.errors else next(preds) for i in range(len(items))])
     return out
@@ -176,38 +178,33 @@ def _vote_pairs(
     but the members run in order and each scores only the pairs whose vote
     is still open: a pair is kept once a majority of all members scores it
     at or above the threshold, and dropped once the members left cannot
-    make one.  The pairs are encoded once per distinct member max_len
-    before any forward.  A group with a pair that does not encode gets the
-    first such error in member order, then pair order, and none of its
-    pairs is scored.  Adds the scores made to ``counters["stage2_scores"]``.
+    make one.  The pairs are encoded (``_encodings``) before any forward.
+    A group with a pair that does not encode gets the first such error in
+    member order, then pair order, and none of its pairs is scored.  Adds
+    the scores made to ``counters["stage2_scores"]``.
     """
     pairs = [x for group in groups for x in group]
-    encoded = {}
-    for member in members:
-        max_len = member.encoder_config.max_len
-        if max_len not in encoded:
-            encoded[max_len] = task.encode(pairs, member.vocab, max_len)
-    member_errors = [encoded[m.encoder_config.max_len].errors for m in members]
+    encodings = _encodings(task, members, pairs)
     spans, start = [], 0
     for group in groups:
         spans.append(range(start, start + len(group)))
         start += len(group)
-    out = [next((e[i] for e in member_errors for i in span if i in e), None) for span in spans]
+    errors = [data.errors for data in encodings]
+    out = [next((e[i] for e in errors for i in span if i in e), None) for span in spans]
     open_ = np.array(
         [i for span, error in zip(spans, out) if error is None for i in span], dtype=np.int64
     )
-    # The row of each pair in each encoding (rows skip the pairs that did not encode).
-    row_of = {
-        max_len: np.cumsum([i not in data.errors for i in range(len(pairs))]) - 1
-        for max_len, data in encoded.items()
-    }
+    # The row of each pair in each distinct encoding (rows skip the pairs that did not encode).
+    row_of = {}
+    for data in encodings:
+        if id(data) not in row_of:
+            row_of[id(data)] = np.cumsum([i not in data.errors for i in range(len(pairs))]) - 1
     n = len(members)
     votes_for = np.zeros(len(pairs), dtype=np.int64)
-    for ran, member in enumerate(members, start=1):
+    for ran, (member, data) in enumerate(zip(members, encodings), start=1):
         if not open_.size:
             break
-        max_len = member.encoder_config.max_len
-        scores = member.predict(task, encoded[max_len].rows(row_of[max_len][open_]))
+        scores = member.predict(task, data.rows(row_of[id(data)][open_]))
         counters["stage2_scores"] += open_.size
         votes_for[open_] += np.array(scores, dtype=np.float64) >= threshold
         # Open: not yet a majority, and still one if every member left votes for.

@@ -161,24 +161,28 @@ class TokenSequence:
         return sum(self.attention_mask)
 
 
-def _pad(seq: list, max_len: int, value) -> tuple:
-    return tuple(seq + [value] * (max_len - len(seq)))
+def _sequence(segments: list[list[tuple[str, Span]]], vocab: Vocab, max_len: int) -> TokenSequence:
+    """[CLS], then each segment's tokens followed by [SEP], padded to
+    max_len; segment s holds its tokens and its [SEP]."""
+    ids, segment_ids, offsets = [CLS_ID], [0], [None]
+    for s, tokens in enumerate(segments):
+        ids += [vocab.lookup(t) for t, _ in tokens] + [SEP_ID]
+        segment_ids += [s] * (len(tokens) + 1)
+        offsets += [span for _, span in tokens] + [None]
+    n, pad = len(ids), max_len - len(ids)
+    return TokenSequence(
+        ids=tuple(ids + [PAD_ID] * pad),
+        segment_ids=tuple(segment_ids + [0] * pad),
+        attention_mask=(1,) * n + (0,) * pad,
+        offsets=tuple(offsets + [None] * pad),
+    )
 
 
 def encode_single(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Encode one text as [CLS] tokens [SEP], truncated and padded to max_len."""
     if max_len < 3:
         raise TokenizerError("max_len must be >= 3 for single-text encoding")
-    tokens = list(islice(_iter_tokens(text), max_len - 2))
-    ids = [CLS_ID] + [vocab.lookup(t) for t, _ in tokens] + [SEP_ID]
-    offsets: list[Optional[Span]] = [None] + [span for _, span in tokens] + [None]
-    n = len(ids)
-    return TokenSequence(
-        ids=_pad(ids, max_len, PAD_ID),
-        segment_ids=_pad([0] * n, max_len, 0),
-        attention_mask=_pad([1] * n, max_len, 0),
-        offsets=_pad(offsets, max_len, None),
-    )
+    return _sequence([list(islice(_iter_tokens(text), max_len - 2))], vocab, max_len)
 
 
 def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
@@ -195,26 +199,4 @@ def encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
             f"first segment too long: {len(a_tokens)} tokens with max_len {max_len}"
         )
     b_tokens = list(islice(_iter_tokens(b), max_len - 3 - len(a_tokens)))
-    ids = (
-        [CLS_ID]
-        + [vocab.lookup(t) for t, _ in a_tokens]
-        + [SEP_ID]
-        + [vocab.lookup(t) for t, _ in b_tokens]
-        + [SEP_ID]
-    )
-    offsets: list[Optional[Span]] = (
-        [None]
-        + [span for _, span in a_tokens]
-        + [None]
-        + [span for _, span in b_tokens]
-        + [None]
-    )
-    n_seg0 = len(a_tokens) + 2  # [CLS] A [SEP]
-    n = len(ids)
-    segments = [0] * n_seg0 + [1] * (n - n_seg0)
-    return TokenSequence(
-        ids=_pad(ids, max_len, PAD_ID),
-        segment_ids=_pad(segments, max_len, 0),
-        attention_mask=_pad([1] * n, max_len, 0),
-        offsets=_pad(offsets, max_len, None),
-    )
+    return _sequence([a_tokens, b_tokens], vocab, max_len)

@@ -282,9 +282,12 @@ def _tensor_index(tensors) -> list[dict]:
     return index
 
 
-def _check_layout(index: list[dict], enc_cfg: EncoderConfig, head_kind: str, n_tokens: int):
+def _check_header(
+    index: list[dict], enc_cfg: EncoderConfig, train_cfg: TrainConfig, head_kind: str, n_tokens: int
+):
     """Raise ValueError unless a tensor index equals the one the encoder
-    config and head kind imply and the vocabulary has vocab_size tokens."""
+    config and head kind imply, the vocabulary has vocab_size tokens, and
+    the encoder config has the training config's max_len, as train sets it."""
     dtype = np.dtype(enc_cfg.np_dtype)
     expected = _tensor_index((n, dtype, s) for n, s in model_shapes(enc_cfg, head_kind).items())
     if index != expected:
@@ -294,6 +297,9 @@ def _check_layout(index: list[dict], enc_cfg: EncoderConfig, head_kind: str, n_t
         raise ValueError(f"tensor index differs from encoder_config and head_kind at {where}")
     if n_tokens != enc_cfg.vocab_size:
         raise ValueError(f"vocabulary has {n_tokens} tokens, vocab_size is {enc_cfg.vocab_size}")
+    if enc_cfg.max_len != train_cfg.max_len:
+        raise ValueError(f"encoder_config.max_len {enc_cfg.max_len} differs from "
+                         f"train_config.max_len {train_cfg.max_len}")
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -301,15 +307,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
     Raises ValueError naming ``path``, and writes nothing, when the file
     would not load: when the tensors' names, shapes or dtypes differ from
-    what the encoder config and head kind imply, or the vocabulary does not
-    have vocab_size tokens.  The file is written next to ``path`` under a
+    what the encoder config and head kind imply, when the vocabulary does
+    not have vocab_size tokens, or when the encoder and training configs
+    differ in max_len.  The file is written next to ``path`` under a
     temporary name and moved into place when complete, so a failed write
     leaves any checkpoint already at ``path`` as it was.
     """
     tensors = _named(ckpt.encoder_params, ckpt.head)
     index = _tensor_index((name, arr.dtype, arr.shape) for name, arr in tensors)
+    n_tokens = len(ckpt.vocab.id_to_token)
     try:
-        _check_layout(index, ckpt.encoder_config, ckpt.head_kind, len(ckpt.vocab.id_to_token))
+        _check_header(index, ckpt.encoder_config, ckpt.train_config, ckpt.head_kind, n_tokens)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     header = {
@@ -347,8 +355,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     Raises ValueError naming ``path`` unless the file holds a complete
     header, a tensor index equal to the one the encoder config and head kind
     imply (names, shapes and dtype, stored back to back), exactly that many
-    tensor bytes, no NaN or infinite value in them, and a vocabulary of
-    ``vocab_size`` tokens.
+    tensor bytes, no NaN or infinite value in them, a vocabulary of
+    ``vocab_size`` tokens, and one max_len in the encoder and training configs.
     """
     try:
         return _read_checkpoint(Path(path).read_bytes())
@@ -369,9 +377,10 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
     if not isinstance(header, dict) or header.get("version") != 1:
         raise ValueError("unsupported checkpoint version")
     enc_cfg = EncoderConfig(**header["encoder_config"])
+    train_cfg = TrainConfig.from_dict(header["train_config"])
     head_kind = header["head_kind"]
     index, vocab_tokens = list(header["tensors"]), header["vocab"]
-    _check_layout(index, enc_cfg, head_kind, len(vocab_tokens))
+    _check_header(index, enc_cfg, train_cfg, head_kind, len(vocab_tokens))
     nbytes = index[-1]["offset"] + index[-1]["nbytes"]
     if len(raw) - base != nbytes:
         raise ValueError(f"tensor section is {len(raw) - base} bytes, expected {nbytes}")
@@ -389,7 +398,7 @@ def _read_checkpoint(raw: bytes) -> Checkpoint:
         head=model.head,
         head_kind=head_kind,
         vocab=Vocab.from_stored(vocab_tokens),
-        train_config=TrainConfig.from_dict(header["train_config"]),
+        train_config=train_cfg,
         dev_score=header["dev_score"],
         seed=header["seed"],
     )

@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,10 @@ BAD_INPUTS = {
     "malformed_predictions": (1, "not valid JSON"),
     "predictions_invalid_utf8": (1, "preds.jsonl: line 2: invalid UTF-8 at byte 8"),
     "no_usable_mrc_examples": (1, "no usable mrc examples"),
+    "search_no_usable_mrc_examples": (1, "data error: no usable mrc examples"),
+    "sentiment_corpus_unlabeled": (1, "data error: 40 documents lack sentiment labels"),
+    "match_corpus_without_key_entities": (
+        1, "data error: pairs without labels (documents missing key_entities)"),
     "crossval_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
     "crossval_k_below_two": (2, "bad --k: need 2 <= k <= 40"),
     "search_k_above_documents": (2, "bad --k: need 2 <= k <= 40"),
@@ -151,6 +156,8 @@ BAD_INPUTS = {
     "checkpoint_header_length_flipped": (2, "truncated checkpoint header"),
     "checkpoint_nan_tensor": (2, "tensor encoder.embedding holds a non-finite value"),
     "checkpoint_inf_tensor": (2, "tensor encoder.embedding holds a non-finite value"),
+    "checkpoint_max_len_mismatch": (
+        2, "encoder_config.max_len 2 differs from train_config.max_len 64"),
     "beta2_one": (2, "bad sentiment.beta2: must be in [0, 1)"),
     "epochs_float": (2, "bad sentiment.epochs: expected an integer, got 1.5"),
     "seed_negative": (2, "bad sentiment.seed: must be >= 0"),
@@ -209,8 +216,9 @@ def write_checkpoint(path, kind, text="alpha beta"):
 
 def write_bad_checkpoint(path, case):
     """A small sentiment checkpoint, cut short, with a bit of its header
-    length flipped, with NaN or infinity as its first tensor value, or with
-    one tensor left out of its index."""
+    length flipped, with NaN or infinity as its first tensor value, with
+    one tensor left out of its index, or with an encoder max_len of 2
+    against its training max_len of 64."""
     write_checkpoint(path, "sentiment")
     raw = path.read_bytes()
     n = int.from_bytes(raw[12:20], "little")
@@ -225,7 +233,10 @@ def write_bad_checkpoint(path, case):
         path.write_bytes(raw[:17] + bytes([raw[17] ^ 0x10]) + raw[18:])
         return
     header = json.loads(raw[20 : 20 + n])
-    header["tensors"].pop(1)
+    if case == "checkpoint_max_len_mismatch":
+        header["encoder_config"]["max_len"] = 2  # positions are not stored: the index still fits
+    else:
+        header["tensors"].pop(1)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.write_bytes(raw[:12] + len(blob).to_bytes(8, "little") + blob + raw[20 + n :])
 
@@ -268,6 +279,13 @@ def bad_input_argv(tmp_path, case):
     if case in config_bytes:
         (tmp_path / "config.json").write_bytes(config_bytes[case])
         return train_sentiment
+    if case in ("sentiment_corpus_unlabeled", "match_corpus_without_key_entities"):
+        task = case.split("_")[0]
+        docs = sentiment_corpus(40, seed=1) if task == "sentiment" else matcher_corpus(40, seed=1)
+        unlabeled = [replace(d, sentiment=None) if task == "sentiment" else
+                     replace(d, key_entities=None) for d in docs]
+        save_corpus(unlabeled, tmp_path / "corpus.jsonl")
+        return ["train", "--task", task, "--config", str(tmp_path / "config.json")]
     if case == "task_section_list":
         write_config(tmp_path, sentiment=[])
         return train_sentiment
@@ -363,10 +381,11 @@ def bad_input_argv(tmp_path, case):
             (tmp_path / "bad.ckpt").write_text("not a checkpoint", encoding="utf-8")
         else:
             write_bad_checkpoint(tmp_path / "bad.ckpt", case)
+        write_checkpoint(tmp_path / "match.ckpt", "match")
         path, _ = write_config(tmp_path, pipeline={
             "mode": "coarse",
             "sentiment_checkpoints": [str(tmp_path / "bad.ckpt")],
-            "matcher_checkpoints": [str(tmp_path / "bad.ckpt")],
+            "matcher_checkpoints": [str(tmp_path / "match.ckpt")],
         })
         return ["pipeline", "--config", str(path), "--input", corpus,
                 "--output", str(tmp_path / "out.jsonl")]
@@ -379,6 +398,16 @@ def bad_input_argv(tmp_path, case):
         }[case]
         path, _ = write_config(tmp_path, search={"deltas": deltas})
         return ["search", "--task", "sentiment", "--k", "2", "--config", str(path)]
+    if case.endswith("no_usable_mrc_examples"):
+        # Every question is longer than max_len, so no example encodes.
+        save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
+        path, _ = write_config(tmp_path, mrc={
+            "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2", "max_len": 8,
+            "epochs": 1, "template": "which of the companies involves {tag}?",
+        })
+        if case.startswith("search"):
+            return ["search", "--task", "mrc", "--k", "2", "--config", str(path)]
+        return ["train", "--task", "mrc", "--config", str(path)]
     if case.startswith(("crossval", "search")):
         path, _ = write_config(tmp_path)
         k = "1" if case.endswith("below_two") else "41"
@@ -396,13 +425,6 @@ def bad_input_argv(tmp_path, case):
         }[case])
         return ["evaluate", "--predictions", str(tmp_path / "preds.jsonl"), "--gold", corpus,
                 "--task", "sentiment"]
-    # Every question is longer than max_len, so no example encodes.
-    save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
-    path, _ = write_config(tmp_path, mrc={
-        "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2", "max_len": 8,
-        "epochs": 1, "template": "which of the companies involves {tag}?",
-    })
-    return ["train", "--task", "mrc", "--config", str(path)]
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -420,6 +442,17 @@ def test_non_finite_checkpoint_writes_no_output(sentiment_setup, tmp_path, capsy
     assert main(bad_input_argv(tmp_path, case)) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.endswith("bad.ckpt: tensor encoder.embedding holds a non-finite value")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_max_len_mismatch_checkpoint_writes_no_output(sentiment_setup, tmp_path, capsys):
+    """A sentiment checkpoint whose encoder max_len (2) is below what
+    encode_single accepts sent its encoding error, a str, into the vote and
+    crashed the pipeline; now it does not load."""
+    assert main(bad_input_argv(tmp_path, "checkpoint_max_len_mismatch")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ")
+    assert line.endswith("bad.ckpt: encoder_config.max_len 2 differs from train_config.max_len 64")
     assert not (tmp_path / "out.jsonl").exists()
 
 

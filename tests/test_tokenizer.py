@@ -1,3 +1,6 @@
+from itertools import islice
+from typing import Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +10,11 @@ from finkey.tokenizer import (
     PAD_ID,
     RESERVED_TOKENS,
     SEP_ID,
+    Span,
     TokenizerError,
+    TokenSequence,
     Vocab,
+    _iter_tokens,
     build_vocab,
     encode_pair,
     encode_single,
@@ -130,6 +136,107 @@ class TestMatchesCharacterScan:
             seq = encode_pair(a, b, v, max_len)
             kept = b_tokens[: max_len - 3 - len(a_tokens)]
             assert (seq.ids, seq.offsets) == expected_encoding([a_tokens, kept], v, max_len)
+
+
+def _pad(seq: list, max_len: int, value) -> tuple:
+    return tuple(seq + [value] * (max_len - len(seq)))
+
+
+def reference_encode_single(text: str, vocab: Vocab, max_len: int) -> TokenSequence:
+    """The hand-built single-text layout that ``encode_single`` replaced, verbatim."""
+    if max_len < 3:
+        raise TokenizerError("max_len must be >= 3 for single-text encoding")
+    tokens = list(islice(_iter_tokens(text), max_len - 2))
+    ids = [CLS_ID] + [vocab.lookup(t) for t, _ in tokens] + [SEP_ID]
+    offsets: list[Optional[Span]] = [None] + [span for _, span in tokens] + [None]
+    n = len(ids)
+    return TokenSequence(
+        ids=_pad(ids, max_len, PAD_ID),
+        segment_ids=_pad([0] * n, max_len, 0),
+        attention_mask=_pad([1] * n, max_len, 0),
+        offsets=_pad(offsets, max_len, None),
+    )
+
+
+def reference_encode_pair(a: str, b: str, vocab: Vocab, max_len: int) -> TokenSequence:
+    """The hand-built pair layout that ``encode_pair`` replaced, verbatim."""
+    if max_len < 4:
+        raise TokenizerError("max_len must be >= 4 for pair encoding")
+    a_tokens = tokenize(a)
+    if len(a_tokens) + 3 > max_len:
+        raise TokenizerError(
+            f"first segment too long: {len(a_tokens)} tokens with max_len {max_len}"
+        )
+    b_tokens = list(islice(_iter_tokens(b), max_len - 3 - len(a_tokens)))
+    ids = (
+        [CLS_ID]
+        + [vocab.lookup(t) for t, _ in a_tokens]
+        + [SEP_ID]
+        + [vocab.lookup(t) for t, _ in b_tokens]
+        + [SEP_ID]
+    )
+    offsets: list[Optional[Span]] = (
+        [None]
+        + [span for _, span in a_tokens]
+        + [None]
+        + [span for _, span in b_tokens]
+        + [None]
+    )
+    n_seg0 = len(a_tokens) + 2  # [CLS] A [SEP]
+    n = len(ids)
+    segments = [0] * n_seg0 + [1] * (n - n_seg0)
+    return TokenSequence(
+        ids=_pad(ids, max_len, PAD_ID),
+        segment_ids=_pad(segments, max_len, 0),
+        attention_mask=_pad([1] * n, max_len, 0),
+        offsets=_pad(offsets, max_len, None),
+    )
+
+
+def outcome(encode, *args):
+    """The TokenSequence, or the TokenizerError's text."""
+    try:
+        return encode(*args)
+    except TokenizerError as exc:
+        return f"TokenizerError: {exc}"
+
+
+# Word runs, CJK characters, punctuation and spaces: empty texts, short
+# ones, and texts of 40 to 280 tokens, so a first segment fits some max_len
+# in 3-130 and overflows others.
+layout_text = st.one_of(
+    st.lists(st.sampled_from(["Acme", "q3", "a1b", "银", "行", "公司", ",", "?", " ", "\u3000"]),
+             max_size=12).map("".join),
+    st.lists(st.sampled_from(["x", "违约", "Zeta9"]), min_size=40, max_size=140).map(" ".join),
+)
+
+
+class TestMatchesHandBuiltLayout:
+    @given(layout_text, layout_text, st.integers(3, 130), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_sequence_or_error(self, a, b, max_len, known_b):
+        vocab = vocab_from_texts([a, b] if known_b else [a])  # unknown b tokens map to [UNK]
+        assert outcome(encode_single, a, vocab, max_len) == outcome(
+            reference_encode_single, a, vocab, max_len
+        )
+        assert outcome(encode_pair, a, b, vocab, max_len) == outcome(
+            reference_encode_pair, a, b, vocab, max_len
+        )
+
+    def test_edges(self):
+        """Empty texts, CJK, max_len below each minimum, and first segments
+        that just fit, just overflow or overflow by far."""
+        cases = [("", ""), ("Acme", ""), ("", "银行 fell"), ("a b c", "d e f g h"),
+                 ("银 行 公 司 违 约", "Acme"), (" ".join(["x"] * 127), "y")]
+        for a, b in cases:
+            vocab = vocab_from_texts([a])
+            for max_len in (0, 1, 2, 3, 4, 5, 6, 9, 129, 130):
+                assert outcome(encode_single, b, vocab, max_len) == outcome(
+                    reference_encode_single, b, vocab, max_len
+                )
+                assert outcome(encode_pair, a, b, vocab, max_len) == outcome(
+                    reference_encode_pair, a, b, vocab, max_len
+                )
 
 
 class TestBuildVocab:

@@ -596,6 +596,10 @@ MALFORMED_CHECKPOINTS = {
     "vocab_size_mismatch": (
         lambda raw: _edit_header(raw, lambda h: h["vocab"].pop()), "vocab_size is"
     ),
+    "max_len_mismatch": (
+        lambda raw: _edit_header(raw, lambda h: h["encoder_config"].update(max_len=2)),
+        "encoder_config.max_len 2 differs from train_config.max_len 12",
+    ),
     "header_nested_too_deeply": (
         lambda raw: _replace_header(raw, b"[" * 200_000), "not valid JSON: nested too deeply"
     ),
@@ -667,6 +671,17 @@ class TestSaveValidation:
         ckpt = replace(tiny_checkpoint(), vocab=vocab_from_texts(["alpha beta"]))
         with pytest.raises(ValueError, match="vocab_size is"):
             save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_max_len_other_than_training_rejected(self, tmp_path):
+        ckpt = tiny_checkpoint()
+        ckpt = replace(ckpt, train_config=replace(ckpt.train_config, max_len=32))
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(
+            ValueError, match="encoder_config.max_len 16 differs from train_config.max_len 32"
+        ) as err:
+            save_checkpoint(ckpt, path)
+        assert str(path) in str(err.value)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
