@@ -47,6 +47,7 @@ from .training import (
     load_checkpoint,
     neighborhood_search,
     save_checkpoint,
+    task_fields,
     train,
 )
 
@@ -116,9 +117,9 @@ SETTINGS = [
         Setting(task, "schema", "string", True, None, TRAINING, _SCHEMA),
         Setting(task, "dev_split_k", "integer", False, 10, ("train", "ensemble"),
                 _rule(lambda k: k >= 2, ">= 2")),
-        *_owned(task, TrainConfig, skip=("task",)),
-        *_owned(f"{task}.focal", FocalConfig),
+        *[row for row in _owned(task, TrainConfig) if row.key in task_fields(task)],
     )],
+    *_owned("match.focal", FocalConfig),
     Setting("mrc", "template", "string", False, DEFAULT_TEMPLATE, CONFIGURED,
             lambda template: build_question("", template)),
     Setting("mrc", "max_span_len", "integer", False, DEFAULT_MAX_SPAN_LEN, CONFIGURED,
@@ -207,7 +208,9 @@ def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]
             kwargs["focal"] = _build(f"bad {task}.focal.", FocalConfig, **focal)
         if seed is not None:
             kwargs["seed"] = seed
-        values[task] = _build(f"bad {task}.", TrainConfig, task=task, **kwargs)
+        values[task] = tc = _build(f"bad {task}.", TrainConfig, task=task, **kwargs)
+        if tc.focal is not None and tc.loss != "focal":
+            raise ConfigError(f"bad {task}.focal: read only with loss 'focal', not {tc.loss!r}")
     # A stand-in vocab_size: train sets the real one from its vocabulary.
     values["encoder"] = _build("bad encoder.", EncoderConfig, vocab_size=4, **owned["encoder"])
     seeds, top_m = tuple(values["ensemble.seeds"]), values["ensemble.top_m"]
@@ -294,8 +297,8 @@ def _holdout_split(dataset, values: dict, task: str, seed: int):
     """Deterministic train/dev split: fold 0 of a seeded k-fold over the
     documents is the dev set."""
     setting = f"{task}.dev_split_k"
-    split = _build(f"bad {setting}: ", document_folds, dataset, values[setting], seed)
-    return holdout(dataset, split.folds[0])
+    folds = _build(f"bad {setting}: ", document_folds, dataset, values[setting], seed)
+    return holdout(dataset, folds[0])
 
 
 def _checkpoint_dir(values: dict) -> Path:
@@ -345,6 +348,8 @@ def cmd_train(args) -> int:
         "train_config": tc.to_dict(),
         "n_train": len(train_set),
         "n_dev": len(dev_set),
+        "n_train_skipped": result.n_train_skipped,
+        "n_dev_skipped": result.n_dev_skipped,
         "epoch_losses": result.epoch_losses,
         "epoch_dev_scores": result.epoch_dev_scores,
         "dev_score": result.checkpoint.dev_score,

@@ -418,8 +418,6 @@ def forward_batch(
 
     if cache is not None:
         cache["ids"] = ids
-        cache["key_real"] = key_real
-        cache["x0"] = x
         cache["layers"] = []
 
     scale = 1.0 / math.sqrt(config.d_head)
@@ -493,8 +491,6 @@ def forward_batch(
                 }
             )
         x = h2
-    if cache is not None:
-        cache["hidden"] = x
     return x
 
 

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -110,23 +110,23 @@ class TrainConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Disjoint index folds covering 0..n-1."""
+def task_fields(task: str) -> tuple[str, ...]:
+    """The TrainConfig fields a ``task`` run trains with: all but ``task``, and
+    outside the match task also without the matcher's loss, focal and threshold."""
+    skip = ("task",) if task == "match" else ("task", "loss", "focal", "threshold")
+    return tuple(f.name for f in fields(TrainConfig) if f.name not in skip)
 
-    folds: tuple[tuple[int, ...], ...]
 
-
-def kfold_split(n: int, k: int, seed: int) -> FoldSplit:
-    """Shuffle 0..n-1 with the seed and deal the indices round-robin, so
-    fold sizes differ by at most one."""
+def kfold_split(n: int, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Disjoint index folds covering 0..n-1: shuffle 0..n-1 with the seed and
+    deal the indices round-robin, so fold sizes differ by at most one."""
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return FoldSplit(tuple(tuple(int(i) for i in perm[f::k]) for f in range(k)))
+    return tuple(tuple(int(i) for i in perm[f::k]) for f in range(k))
 
 
-def document_folds(dataset, k: int, seed: int) -> FoldSplit:
+def document_folds(dataset, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """kfold_split over the documents of a dataset, expanded to its examples.
 
     Examples are Documents or carry the ``doc_id`` of their document.  All
@@ -141,8 +141,8 @@ def document_folds(dataset, k: int, seed: int) -> FoldSplit:
     docs = list(positions.values())
     if not 2 <= k <= len(docs):
         raise ValueError(f"need 2 <= k <= {len(docs)} (the number of documents), got k={k}")
-    split = kfold_split(len(docs), k, seed)
-    return FoldSplit(tuple(tuple(p for i in fold for p in docs[i]) for fold in split.folds))
+    folds = kfold_split(len(docs), k, seed)
+    return tuple(tuple(p for i in fold for p in docs[i]) for fold in folds)
 
 
 def holdout(dataset, fold: Sequence[int]) -> tuple[list, list]:
@@ -562,7 +562,7 @@ def cross_validate(
     """k-fold cross-validation over documents (``document_folds``): each
     fold is held out once as the dev set."""
     scores = []
-    for fold in document_folds(dataset, k, cfg.seed).folds:
+    for fold in document_folds(dataset, k, cfg.seed):
         result = train(*holdout(dataset, fold), cfg, encoder=encoder, **train_kwargs)
         scores.append(result.checkpoint.dev_score)
     return CrossValResult(fold_scores=scores, mean_score=float(np.mean(scores)))
@@ -600,32 +600,31 @@ def neighborhood_search(
     encoder: Optional[EncoderConfig] = None,
     **train_kwargs,
 ) -> SearchResult:
-    """Grid search over candidate values arranged around the base config.
+    """Grid search over candidate values arranged around the base config,
+    for the fields the task trains with (``task_fields``) but ``focal``.
 
     Every per-field candidate list is extended with the base value, so the
     base config is always in the grid.  Every grid config is built before
     any trains, so a bad candidate is a ValueError naming its field before
     any work is done.  Candidates are scored by k-fold mean dev score; ties
     prefer fewer changed fields, then the smallest candidate in sorted-field
-    order.
+    order (``focal``, an object, has no order).
     """
     field_names = sorted(deltas)
-    for name in field_names:
-        if name not in TrainConfig.__dataclass_fields__:
-            raise ValueError(f"unknown TrainConfig field {name!r}")
-        if not deltas[name]:
-            raise ValueError(f"empty candidate list for {name!r}")
+    searchable = [name for name in task_fields(base_cfg.task) if name != "focal"]
     candidate_lists = []
     for name in field_names:
+        if name not in searchable:
+            raise ValueError(f"bad search field {name!r}: {base_cfg.task} searches "
+                             f"{', '.join(searchable)}")
+        if not deltas[name]:
+            raise ValueError(f"empty candidate list for {name!r}")
         values = list(deltas[name])
-        base_value = getattr(base_cfg, name)
-        if base_value not in values:
-            values.append(base_value)
-        candidate_lists.append(values)
-
-    for name, values in zip(field_names, candidate_lists):
+        if getattr(base_cfg, name) not in values:
+            values.append(getattr(base_cfg, name))
         for value in values:  # a bad value alone, named before any combination
             _grid_config(base_cfg, {name: value})
+        candidate_lists.append(values)
     grid = [
         (combo, _grid_config(base_cfg, dict(zip(field_names, combo))))
         for combo in product(*candidate_lists)

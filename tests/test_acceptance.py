@@ -464,10 +464,10 @@ def test_criterion_6_determinism(tmp_path):
         for _ in range(100):
             n = int(rng.integers(2, 200))
             k = int(rng.integers(2, min(n, 12) + 1))
-            split = kfold_split(n, k, int(rng.integers(0, 2**32)))
-            flat = [i for fold in split.folds for i in fold]
+            folds = kfold_split(n, k, int(rng.integers(0, 2**32)))
+            flat = [i for fold in folds for i in fold]
             assert sorted(flat) == list(range(n))
-            sizes = [len(fold) for fold in split.folds]
+            sizes = [len(fold) for fold in folds]
             assert max(sizes) - min(sizes) <= 1
 
 

@@ -149,6 +149,11 @@ BAD_INPUTS = {
     "search_deltas_int_values": (2, "bad search.deltas"),
     "search_deltas_string_candidate": (2, "bad search candidate epochs='a'"),
     "search_deltas_epochs_zero": (2, "bad search candidate epochs=0"),
+    "search_deltas_task_for_sentiment": (2, "bad search field 'task': sentiment searches epochs"),
+    "search_deltas_threshold_for_sentiment": (2, "bad search field 'threshold'"),
+    "search_deltas_focal_for_match": (2, "bad search field 'focal': match searches epochs"),
+    "match_focal_with_cross_entropy": (
+        2, "bad match.focal: read only with loss 'focal', not 'cross_entropy'"),
     "train_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "ensemble_dev_split_k_above_documents": (2, "bad sentiment.dev_split_k"),
     "truncated_checkpoint": (2, "tensor section is"),
@@ -163,6 +168,7 @@ BAD_INPUTS = {
     "seed_negative": (2, "bad sentiment.seed: must be >= 0"),
     "learning_rate_true": (2, "bad sentiment.learning_rate: expected a number, got True"),
     "sentiment_epoch_misspelled": (2, "bad sentiment.epoch: unknown key"),
+    "sentiment_loss": (2, "bad sentiment.loss: unknown key"),
     "paths_checkpoints_int": (2, "bad paths.checkpoints: expected a string, got 5"),
     "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
     "config_top_level_list": (2, "bad config file: expected a JSON object"),
@@ -343,8 +349,12 @@ def bad_input_argv(tmp_path, case):
             "epochs": 1, **bad_mrc,
         })
         return ["train", "--task", "mrc", "--config", str(path)]
-    if case == "unknown_focal_key":
-        path, _ = write_config(tmp_path, match={"loss": "focal", "focal": {"gamma": 2.0, "beta": 1}})
+    match_sections = {
+        "unknown_focal_key": {"loss": "focal", "focal": {"gamma": 2.0, "beta": 1}},
+        "match_focal_with_cross_entropy": {"loss": "cross_entropy", "focal": {"gamma": 2.0}},
+    }
+    if case in match_sections:
+        path, _ = write_config(tmp_path, match=match_sections[case])
         return ["train", "--task", "match", "--config", str(path)]
     if case == "malformed_vocab":
         (tmp_path / "vocab.tsv").write_text("[PAD]\tzero\n", encoding="utf-8")
@@ -371,6 +381,7 @@ def bad_input_argv(tmp_path, case):
         "beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5}, "seed_negative": {"seed": -1},
         "learning_rate_true": {"learning_rate": True}, "sentiment_epoch_misspelled": {"epoch": 500},
         "learning_rate_infinity": {"learning_rate": math.inf},
+        "sentiment_loss": {"loss": "cross_entropy"},
     }
     if case in sentiment_settings:
         bad = sentiment_settings[case]
@@ -395,9 +406,15 @@ def bad_input_argv(tmp_path, case):
             "search_deltas_int_values": {"epochs": 2},
             "search_deltas_string_candidate": {"epochs": ["a"]},
             "search_deltas_epochs_zero": {"epochs": [1, 0]},
+            "search_deltas_task_for_sentiment": {"task": ["match"]},
+            "search_deltas_threshold_for_sentiment": {"threshold": [0.3]},
+            "search_deltas_focal_for_match": {"focal": [{"gamma": 1.0}]},
         }[case]
+        task = case.rsplit("_", 1)[1] if "_for_" in case else "sentiment"
+        if task == "match":  # a corpus with key entities; the match section sets loss "focal"
+            save_corpus(matcher_corpus(40, seed=1), tmp_path / "corpus.jsonl")
         path, _ = write_config(tmp_path, search={"deltas": deltas})
-        return ["search", "--task", "sentiment", "--k", "2", "--config", str(path)]
+        return ["search", "--task", task, "--k", "2", "--config", str(path)]
     if case.endswith("no_usable_mrc_examples"):
         # Every question is longer than max_len, so no example encodes.
         save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
@@ -702,6 +719,20 @@ class TestTrainCommand:
             assert main(["train", "--task", task, "--config", str(path)]) == 0
         left_out = [r.getMessage() for r in caplog.records if "1 documents" in r.getMessage()]
         assert len(left_out) == 1, left_out
+
+    def test_report_counts_examples_skipped_in_encoding(self, tmp_path):
+        # At max_len 12 some answers fall past the truncated context, and
+        # train skips those examples.
+        save_corpus(mrc_corpus(40, seed=1), tmp_path / "corpus.jsonl")
+        _, cfg = write_config(tmp_path)
+        path, _ = write_config(tmp_path, paths={**cfg["paths"], "schema": "dataset-2"},
+                               mrc={**cfg["mrc"], "max_len": 12, "epochs": 1})
+        report_path = tmp_path / "report.json"
+        assert main(["train", "--task", "mrc", "--config", str(path),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        counts = [report[key] for key in ("n_train", "n_train_skipped", "n_dev", "n_dev_skipped")]
+        assert counts == [32, 11, 8, 3]
 
     def test_bad_config_value_is_config_error(self, sentiment_setup, tmp_path):
         _, _, _ = sentiment_setup

@@ -797,7 +797,7 @@ class TestForwardLeavesArraysAlone:
         assert all(same_bits(a, b) for a, b in zip(after, before))
         if cache is not None:
             names = {name for name, _, _ in cache.recorded}
-            assert {"x0", "layers.1.probs", "layers.1.ln2_aux[0]", "layers.1.drop2"} <= names
+            assert {"layers.0.x_in", "layers.1.probs", "layers.1.ln2_aux[0]", "layers.1.drop2"} <= names
             changed = [name for name, arr, copy in cache.recorded if not same_bits(arr, copy)]
             assert changed == []
 

@@ -128,12 +128,12 @@ class TestTrainConfig:
 
 class TestKfoldSplit:
     def test_singleton_folds(self):
-        split = kfold_split(10, 10, 0)
-        assert all(len(fold) == 1 for fold in split.folds)
+        folds = kfold_split(10, 10, 0)
+        assert all(len(fold) == 1 for fold in folds)
 
     def test_pigeonhole_sizes(self):
-        split = kfold_split(10, 3, 0)
-        assert sorted(len(f) for f in split.folds) == [3, 3, 4]
+        folds = kfold_split(10, 3, 0)
+        assert sorted(len(f) for f in folds) == [3, 3, 4]
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -146,10 +146,10 @@ class TestKfoldSplit:
     def test_partition_properties(self, n, k, seed):
         if k > n:
             k = n
-        split = kfold_split(n, k, seed)
-        all_indices = [i for fold in split.folds for i in fold]
+        folds = kfold_split(n, k, seed)
+        all_indices = [i for fold in folds for i in fold]
         assert sorted(all_indices) == list(range(n))
-        sizes = [len(f) for f in split.folds]
+        sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
 
     def test_seed_determinism(self):
@@ -163,9 +163,9 @@ class TestDocumentFolds:
         from finkey.synthetic import matcher_corpus
 
         pairs, _ = build_pair_dataset(matcher_corpus(60, seed=7))
-        split = document_folds(pairs, 5, 3)
-        assert sorted(p for fold in split.folds for p in fold) == list(range(len(pairs)))
-        for fold in split.folds:
+        folds = document_folds(pairs, 5, 3)
+        assert sorted(p for fold in folds for p in fold) == list(range(len(pairs)))
+        for fold in folds:
             dev_docs = {pairs[i].doc_id for i in fold}
             train_docs = {p.doc_id for i, p in enumerate(pairs) if i not in set(fold)}
             assert dev_docs and not dev_docs & train_docs
@@ -787,7 +787,7 @@ class TestNeighborhoodSearch:
             ({"epochs": [1.5]}, "bad search candidate epochs=1.5"),
             ({"epochs": [1, 0]}, "bad search candidate epochs=0"),
             ({"batch_size": [4], "epochs": [1, 0]}, "bad search candidate epochs=0"),
-            ({"loss": ["focal"]}, "bad search candidate loss='focal'"),
+            ({"loss": ["focal"]}, "bad search field 'loss': sentiment searches epochs"),
         ],
     )
     def test_bad_candidate_rejected_before_any_training(self, monkeypatch, deltas, fragment):
