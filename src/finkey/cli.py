@@ -36,7 +36,7 @@ from .encoder import EncoderConfig, json_type
 from .evaluation import EnsembleSpec, ensemble_train_select, run_pipeline
 from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, TASKS, FocalConfig, build_question
 from .tasks import accuracy, entity_prf
-from .tokenizer import load_vocab, save_vocab, vocab_from_texts
+from .tokenizer import RESERVED_TOKENS, load_vocab, save_vocab, vocab_from_texts
 from .training import (
     Checkpoint,
     NumericalError,
@@ -49,6 +49,7 @@ from .training import (
     save_checkpoint,
     task_fields,
     train,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -104,17 +105,14 @@ def _rule(ok: Callable[[object], bool], rule: str) -> Callable[[object], None]:
     return check
 
 
-_SCHEMA = _rule(lambda value: value in SCHEMAS, f"one of {SCHEMAS}")
 SETTINGS = [
     Setting("paths", "corpus", "string", True, None, TRAINING),
-    Setting("paths", "schema", "string", True, None, CONFIGURED, _SCHEMA),
     Setting("paths", "vocab", "string", True, None, TRAINING),
     Setting("paths", "checkpoints", "string", False, "checkpoints", ("train", "ensemble")),
     # Each task section's max_len is the one place the length is set.
     *_owned("encoder", EncoderConfig, skip=("vocab_size", "max_len")),
     *[row for task in TASKS for row in (
         Setting(task, "corpus", "string", True, None, TRAINING),
-        Setting(task, "schema", "string", True, None, TRAINING, _SCHEMA),
         Setting(task, "dev_split_k", "integer", False, 10, ("train", "ensemble"),
                 _rule(lambda k: k >= 2, ">= 2")),
         *[row for row in _owned(task, TrainConfig) if row.key in task_fields(task)],
@@ -128,7 +126,6 @@ SETTINGS = [
     Setting("ensemble", "top_m", "integer", False, 10, ("ensemble",)),
     Setting("pipeline", "mode", "string", False, "coarse", ("pipeline",),
             _rule(lambda mode: mode in ("coarse", "fine"), "'coarse' or 'fine'")),
-    Setting("pipeline", "schema", "string", True, None, ("pipeline",), _SCHEMA),
     Setting("pipeline", "match_threshold", "number", False, 0.5, ("pipeline",),
             _rule(lambda t: 0 <= t <= 1, "in [0, 1]")),
     Setting("pipeline", "sentiment_checkpoints", "list of strings", False, [], ("pipeline",)),
@@ -218,15 +215,32 @@ def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]
     return raw, values
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    if path is None:
-        return
+def _check_output(name: str, path: str, directory: bool = False) -> None:
+    """Raise ConfigError naming ``name`` unless ``path`` can be written as a
+    file (or, with ``directory``, as a directory): it must be absent or of
+    that kind, and its nearest existing parent must be a directory.  A
+    device or pipe is refused, as ``write_atomic`` would replace it."""
+    out, kind = Path(path), "directory" if directory else "regular file"
+    if out.exists() and not (out.is_dir() if directory else out.is_file()):
+        raise ConfigError(f"bad {name} {path}: not a {kind}")
+    parent = out.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir():
+        raise ConfigError(f"bad {name} {path}: {parent} is not a directory")
+
+
+def _write(path: str | Path, chunks) -> None:
+    """``write_atomic``, its missing parent directories made first."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_atomic(out, chunks)
+
+
+def _write_report(report: dict, path: str | None) -> None:
+    if path is not None:
+        text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        _write(path, [text.encode("utf-8")])
 
 
 def _provenance(cfg: dict | None, seed) -> dict:
@@ -251,8 +265,11 @@ def _train_kwargs(values: dict, task: str) -> dict:
     return kwargs
 
 
-def _load_docs_strict(corpus_path: str, schema: str) -> list[Document]:
-    docs, report = load_corpus(corpus_path, schema)
+def _load_docs_strict(corpus_path: str, reads_tags: bool = False) -> list[Document]:
+    """The documents of a corpus that has no bad record.  The schema follows
+    from what the command reads: dataset-2, which requires a tag, where it
+    reads tags (mrc training and the fine pipeline), dataset-1 elsewhere."""
+    docs, report = load_corpus(corpus_path, "dataset-2" if reads_tags else "dataset-1")
     if not report.ok:
         first = report.errors[0]
         raise CorpusError(
@@ -265,10 +282,9 @@ def _load_docs_strict(corpus_path: str, schema: str) -> list[Document]:
 def _task_dataset(values: dict, task: str):
     """Load and derive the training dataset for a task."""
     corpus = values[f"{task}.corpus"] or values["paths.corpus"]
-    schema = values[f"{task}.schema"] or values["paths.schema"]
-    if corpus is None or schema is None:
-        raise ConfigError(f"no corpus/schema configured for task {task!r}")
-    docs = _load_docs_strict(corpus, schema)
+    if corpus is None:
+        raise ConfigError(f"no corpus configured for task {task!r}")
+    docs = _load_docs_strict(corpus, reads_tags=task == "mrc")
     if task == "sentiment":
         missing = [d.id for d in docs if d.sentiment is None]
         if missing:
@@ -302,9 +318,17 @@ def _holdout_split(dataset, values: dict, task: str, seed: int):
 
 
 def _checkpoint_dir(values: dict) -> Path:
-    path = Path(values["paths.checkpoints"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    path = values["paths.checkpoints"]
+    _check_output("paths.checkpoints", path, directory=True)
+    return Path(path)
+
+
+def _save_checkpoints(directory: Path, task: str, checkpoints) -> list[str]:
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [str(directory / f"{task}-seed{ckpt.seed}.ckpt") for ckpt in checkpoints]
+    for ckpt, path in zip(checkpoints, paths):
+        save_checkpoint(ckpt, path)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +350,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    docs = _load_docs_strict(args.corpus, args.schema)
+    for flag, value, least in (("--min-freq", args.min_freq, 1),
+                               ("--max-size", args.max_size, len(RESERVED_TOKENS))):
+        if value < least:
+            raise ConfigError(f"bad {flag}: must be >= {least}, got {value}")
+    docs = _load_docs_strict(args.corpus)
     vocab = vocab_from_texts(
         (d.cleaned_text for d in docs), min_freq=args.min_freq, max_size=args.max_size
     )
@@ -338,11 +366,11 @@ def cmd_build_vocab(args) -> int:
 def cmd_train(args) -> int:
     cfg, values = _load_config(args.config, args.seed)
     tc = values[args.task]
+    ckpt_dir = _checkpoint_dir(values)
     dataset = _task_dataset(values, args.task)
     train_set, dev_set = _holdout_split(dataset, values, args.task, tc.seed)
     result = train(train_set, dev_set, tc, **_train_kwargs(values, args.task))
-    ckpt_path = _checkpoint_dir(values) / f"{args.task}-seed{tc.seed}.ckpt"
-    save_checkpoint(result.checkpoint, ckpt_path)
+    (ckpt_path,) = _save_checkpoints(ckpt_dir, args.task, [result.checkpoint])
     report = {
         "task": args.task,
         "train_config": tc.to_dict(),
@@ -353,7 +381,7 @@ def cmd_train(args) -> int:
         "epoch_losses": result.epoch_losses,
         "epoch_dev_scores": result.epoch_dev_scores,
         "dev_score": result.checkpoint.dev_score,
-        "checkpoint": str(ckpt_path),
+        "checkpoint": ckpt_path,
         **_provenance(cfg, tc.seed),
     }
     _write_report(report, args.report)
@@ -389,16 +417,12 @@ def cmd_ensemble(args) -> int:
     cfg, values = _load_config(args.config, args.seed)
     tc = values[args.task]
     spec = values["ensemble"]
+    ckpt_dir = _checkpoint_dir(values)
     dataset = _task_dataset(values, args.task)
     train_set, dev_set = _holdout_split(dataset, values, args.task, tc.seed)
     kwargs = _train_kwargs(values, args.task)
     members = ensemble_train_select(train_set, dev_set, tc, spec, **kwargs)
-    ckpt_dir = _checkpoint_dir(values)
-    paths = []
-    for member in members:
-        path = ckpt_dir / f"{args.task}-seed{member.seed}.ckpt"
-        save_checkpoint(member, path)
-        paths.append(str(path))
+    paths = _save_checkpoints(ckpt_dir, args.task, members)
     report = {
         "task": args.task,
         "seeds": list(spec.seeds),
@@ -422,10 +446,7 @@ def _load_checkpoints(paths) -> list[Checkpoint]:
 def cmd_pipeline(args) -> int:
     cfg, values = _load_config(args.config)
     mode = values["pipeline.mode"]
-    schema = values["pipeline.schema"] or values["paths.schema"]
-    if schema is None:
-        schema = "dataset-1" if mode == "coarse" else "dataset-2"
-    docs = _load_docs_strict(args.input, schema)
+    docs = _load_docs_strict(args.input, reads_tags=mode == "fine")
     sentiment_members = _load_checkpoints(values["pipeline.sentiment_checkpoints"])
     matcher_members = None
     if mode == "coarse":
@@ -448,16 +469,16 @@ def cmd_pipeline(args) -> int:
         lexicon=lexicon, max_span_len=values["mrc.max_span_len"],
     )
 
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
+    def lines():
         for doc in result.documents:
             record = {"id": doc.doc_id, "sentiment": doc.sentiment.value,
                       "prob_negative": doc.prob_negative, "key_entities": doc.key_entities,
                       "span": doc.span_text, "error": doc.error}
             record = {key: v for key, v in record.items() if v is not None}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            yield (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
 
+    out = Path(args.output)
+    _write(out, lines())
     report = {
         "mode": mode,
         "input": args.input,
@@ -500,7 +521,7 @@ def _read_predictions(path: str) -> dict[str, dict]:
 
 def cmd_evaluate(args) -> int:
     preds = _read_predictions(args.predictions)
-    gold_docs = _load_docs_strict(args.gold, args.schema)
+    gold_docs = _load_docs_strict(args.gold)
     gold_ids = dict.fromkeys(d.id for d in gold_docs)
     unmatched = [i for i in gold_ids if i not in preds] + [i for i in preds if i not in gold_ids]
     if unmatched:
@@ -591,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-vocab", help="build and save a vocabulary")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", choices=SCHEMAS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--min-freq", type=int, default=1, dest="min_freq")
     p.add_argument("--max-size", type=int, default=50000, dest="max_size")
@@ -621,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--task", choices=("sentiment", "entities"), required=True)
-    p.add_argument("--schema", choices=SCHEMAS, default="dataset-1")
     common(p, config=False)
     p.set_defaults(func=cmd_evaluate)
 
@@ -633,6 +652,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("report", "out", "output"):  # every output path, before any work
+            if getattr(args, flag, None) is not None:
+                _check_output(f"--{flag}", getattr(args, flag))
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

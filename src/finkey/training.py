@@ -17,9 +17,9 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -302,6 +302,23 @@ def _check_header(
                          f"train_config.max_len {train_cfg.max_len}")
 
 
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path``: to a temporary name next to it, synced,
+    then moved into place, so a failed write leaves any file already at
+    ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Serialize to the versioned binary layout (see README); bit-exact.
 
@@ -309,9 +326,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     would not load: when the tensors' names, shapes or dtypes differ from
     what the encoder config and head kind imply, when the vocabulary does
     not have vocab_size tokens, or when the encoder and training configs
-    differ in max_len.  The file is written next to ``path`` under a
-    temporary name and moved into place when complete, so a failed write
-    leaves any checkpoint already at ``path`` as it was.
+    differ in max_len.  The file is written by ``write_atomic``.
     """
     tensors = _named(ckpt.encoder_params, ckpt.head)
     index = _tensor_index((name, arr.dtype, arr.shape) for name, arr in tensors)
@@ -332,21 +347,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "tensors": index,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            for _, arr in tensors:
-                fh.write(np.ascontiguousarray(arr).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, chain([_CKPT_MAGIC, len(blob).to_bytes(8, "little"), blob],
+                             (np.ascontiguousarray(arr).tobytes() for _, arr in tensors)))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -604,11 +606,12 @@ def neighborhood_search(
     for the fields the task trains with (``task_fields``) but ``focal``.
 
     Every per-field candidate list is extended with the base value, so the
-    base config is always in the grid.  Every grid config is built before
-    any trains, so a bad candidate is a ValueError naming its field before
-    any work is done.  Candidates are scored by k-fold mean dev score; ties
-    prefer fewer changed fields, then the smallest candidate in sorted-field
-    order (``focal``, an object, has no order).
+    base config is always in the grid, and a repeated value counts once.
+    Every grid config is built before any trains, so a bad candidate is a
+    ValueError naming its field before any work is done.  Candidates are
+    scored by k-fold mean dev score; ties prefer fewer changed fields, then
+    the smallest candidate in sorted-field order (``focal``, an object, has
+    no order).
     """
     field_names = sorted(deltas)
     searchable = [name for name in task_fields(base_cfg.task) if name != "focal"]
@@ -619,11 +622,11 @@ def neighborhood_search(
                              f"{', '.join(searchable)}")
         if not deltas[name]:
             raise ValueError(f"empty candidate list for {name!r}")
-        values = list(deltas[name])
-        if getattr(base_cfg, name) not in values:
-            values.append(getattr(base_cfg, name))
-        for value in values:  # a bad value alone, named before any combination
-            _grid_config(base_cfg, {name: value})
+        values = []
+        for value in [*deltas[name], getattr(base_cfg, name)]:
+            _grid_config(base_cfg, {name: value})  # a bad value alone, before any combination
+            if value not in values:  # by ==, as JSON candidates may be unhashable
+                values.append(value)
         candidate_lists.append(values)
     grid = [
         (combo, _grid_config(base_cfg, dict(zip(field_names, combo))))

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import shlex
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkey.cli import SETTINGS, TRAINING, _load_config, main
+from finkey.cli import SETTINGS, TRAINING, _load_config, build_parser, main
 from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
@@ -26,7 +27,6 @@ def write_config(tmp_path, **overrides):
     cfg = {
         "paths": {
             "corpus": str(tmp_path / "corpus.jsonl"),
-            "schema": "dataset-1",
             "checkpoints": str(tmp_path / "ckpts"),
         },
         "encoder": {
@@ -123,7 +123,7 @@ class TestBuildVocab:
         out = tmp_path / "vocab.tsv"
         rc = main([
             "build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"),
-            "--schema", "dataset-1", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -170,6 +170,8 @@ BAD_INPUTS = {
     "sentiment_epoch_misspelled": (2, "bad sentiment.epoch: unknown key"),
     "sentiment_loss": (2, "bad sentiment.loss: unknown key"),
     "paths_checkpoints_int": (2, "bad paths.checkpoints: expected a string, got 5"),
+    "paths_schema": (2, "bad paths.schema: unknown key"),
+    "mrc_schema": (2, "bad mrc.schema: unknown key"),
     "corpus_invalid_utf8": (1, "malformed line: invalid UTF-8"),
     "config_top_level_list": (2, "bad config file: expected a JSON object"),
     "task_section_list": (2, "bad sentiment section: expected a JSON object"),
@@ -188,7 +190,7 @@ BAD_INPUTS = {
     "pipeline_sentiment_checkpoints_string": (
         2, "bad pipeline.sentiment_checkpoints: expected a list of strings"),
     "pipeline_match_treshold_misspelled": (2, "bad pipeline.match_treshold: unknown key"),
-    "pipeline_schema_bogus": (2, "bad pipeline.schema: must be one of"),
+    "pipeline_schema_bogus": (2, "bad pipeline.schema: unknown key"),
     "fine_pipeline_mrc_checkpoint_list": (2, "bad pipeline.mrc_checkpoint: expected a string"),
     "pipeline_vocab_mismatch": (2, "do not share a vocabulary"),
     "evaluate_key_entities_int": (1, "preds.jsonl: line 1: key_entities must be a list of strings"),
@@ -257,7 +259,7 @@ def pipeline_argv(tmp_path, mode, **settings):
         inp = tmp_path / "tagged.jsonl"
         save_corpus(mrc_corpus(8, seed=1), inp)
     section = {
-        "mode": mode, "schema": "dataset-1" if mode == "coarse" else "dataset-2",
+        "mode": mode,
         "sentiment_checkpoints": [str(tmp_path / "sentiment.ckpt")],
         "matcher_checkpoints": [str(tmp_path / "match.ckpt")],
         "mrc_checkpoint": str(tmp_path / "span.ckpt"),
@@ -271,7 +273,7 @@ def pipeline_argv(tmp_path, mode, **settings):
 def bad_input_argv(tmp_path, case):
     """Command line for one bad input; corpus.jsonl holds sentiment documents."""
     corpus = str(tmp_path / "corpus.jsonl")
-    paths = {"corpus": corpus, "schema": "dataset-1", "checkpoints": str(tmp_path / "ckpts")}
+    paths = {"corpus": corpus, "checkpoints": str(tmp_path / "ckpts")}
     _, cfg = write_config(tmp_path)
     train_sentiment = ["train", "--task", "sentiment", "--config", str(tmp_path / "config.json")]
     config_bytes = {
@@ -345,8 +347,7 @@ def bad_input_argv(tmp_path, case):
     if case.startswith("train_mrc"):
         save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
         path, _ = write_config(tmp_path, mrc={
-            **cfg["mrc"], "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2",
-            "epochs": 1, **bad_mrc,
+            **cfg["mrc"], "corpus": str(tmp_path / "tagged.jsonl"), "epochs": 1, **bad_mrc,
         })
         return ["train", "--task", "mrc", "--config", str(path)]
     match_sections = {
@@ -377,6 +378,10 @@ def bad_input_argv(tmp_path, case):
     if case == "paths_checkpoints_int":
         path, _ = write_config(tmp_path, paths={**paths, "checkpoints": 5})
         return ["train", "--task", "sentiment", "--config", str(path)]
+    if case.endswith("_schema"):  # the command decides the schema
+        section = case.split("_")[0]
+        path, _ = write_config(tmp_path, **{section: {**cfg[section], "schema": "dataset-2"}})
+        return ["train", "--task", "mrc", "--config", str(path)]
     sentiment_settings = {
         "beta2_one": {"beta2": 1.0}, "epochs_float": {"epochs": 1.5}, "seed_negative": {"seed": -1},
         "learning_rate_true": {"learning_rate": True}, "sentiment_epoch_misspelled": {"epoch": 500},
@@ -419,7 +424,7 @@ def bad_input_argv(tmp_path, case):
         # Every question is longer than max_len, so no example encodes.
         save_corpus(mrc_corpus(20, seed=1), tmp_path / "tagged.jsonl")
         path, _ = write_config(tmp_path, mrc={
-            "corpus": str(tmp_path / "tagged.jsonl"), "schema": "dataset-2", "max_len": 8,
+            "corpus": str(tmp_path / "tagged.jsonl"), "max_len": 8,
             "epochs": 1, "template": "which of the companies involves {tag}?",
         })
         if case.startswith("search"):
@@ -555,12 +560,12 @@ INPUT_FILES = {
 
 def input_config(files: dict, tmp: Path) -> bytes:
     """A config for the harness commands over ``files``, with numbers in
-    every section; it names no pipeline schema, which the mode implies."""
+    every section."""
     tiny = {"epochs": 1, "batch_size": 4, "learning_rate": 0.002, "max_len": 16, "dev_split_k": 2}
     return json.dumps({
         "paths": {"vocab": str(files["vocab"]), "checkpoints": str(tmp / "ckpts")},
         "encoder": {"d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 16, "dropout_rate": 0.1},
-        "sentiment": {**tiny, "corpus": str(files["corpus"]), "schema": "dataset-1"},
+        "sentiment": {**tiny, "corpus": str(files["corpus"])},
         "match": {**tiny, "loss": "focal", "focal": {"gamma": 2.0, "alpha": 0.25}},
         "pipeline": {"match_threshold": 0.5, "lexicon": str(files["lexicon"]),
                      "sentiment_checkpoints": [str(files["checkpoint"])],
@@ -639,8 +644,8 @@ def test_damaged_input_exits_as_documented(valid_inputs, kind, data):
             files["config"] = tmp / "config.json"
             files["config"].write_bytes(input_config(files, tmp))
         argv = {
-            "corpus": ["build-vocab", "--corpus", str(files["corpus"]), "--schema", "dataset-1",
-                       "--out", str(tmp / "built.tsv")],
+            "corpus": ["build-vocab", "--corpus", str(files["corpus"]), "--out",
+                       str(tmp / "built.tsv")],
             "predictions": ["evaluate", "--predictions", str(files["predictions"]),
                             "--gold", str(files["corpus"]), "--task", "sentiment"],
             "vocab": ["train", "--task", "sentiment", "--config", str(files["config"])],
@@ -652,6 +657,74 @@ def test_damaged_input_exits_as_documented(valid_inputs, kind, data):
         if rc != 0:
             assert (rc, len(err.getvalue().splitlines())) == (code, 1), err.getvalue()
             assert {p.name for p in tmp.iterdir()} == {name, "config.json"}  # no output
+
+
+# Each path a command writes, by the flag or config key that names it.
+OUTPUTS = {
+    "validate": ["--report"], "build-vocab": ["--out", "--report"],
+    "train": ["--report", "paths.checkpoints"], "crossval": ["--report"],
+    "ensemble": ["--report", "paths.checkpoints"], "search": ["--report"],
+    "pipeline": ["--output", "--report"], "evaluate": ["--report"],
+}
+BAD_ARGV = [
+    *[(command, target, how) for command, targets in OUTPUTS.items() for target in targets
+      for how in ("below_a_file", "file" if target == "paths.checkpoints" else "directory")],
+    *[("build-vocab", flag, value) for flag in ("--min-freq", "--max-size")
+      for value in ("0", "-1")],
+]
+
+
+def command_argv(files: dict, tmp: Path, command: str) -> list[str]:
+    """A command line that works over the valid inputs, writing into ``tmp``."""
+    corpus, config = str(files["corpus"]), str(tmp / "config.json")
+    if command in TRAINING:
+        return [command, "--task", "sentiment", "--config", config,
+                *(["--k", "2"] if command in ("crossval", "search") else [])]
+    return {
+        "validate": ["validate", "--corpus", corpus, "--schema", "dataset-1"],
+        "build-vocab": ["build-vocab", "--corpus", corpus, "--out", str(tmp / "built.tsv")],
+        "pipeline": ["pipeline", "--config", config, "--input", corpus,
+                     "--output", str(tmp / "out.jsonl")],
+        "evaluate": ["evaluate", "--predictions", str(files["predictions"]), "--gold", corpus,
+                     "--task", "sentiment"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, target, how", BAD_ARGV, ids=["-".join(c) for c in BAD_ARGV])
+def test_bad_output_path_or_flag_exits_before_any_work(valid_inputs, tmp_path, command, target,
+                                                       how):
+    """An output path that is a directory (paths.checkpoints: a file) or lies
+    below a file, and a build-vocab size flag below its least value, exit 2
+    with one stderr line naming the flag or key, and nothing is written."""
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    (tmp_path / "a_dir").mkdir()
+    bad = {"below_a_file": str(tmp_path / "a_file" / "out"), "file": str(tmp_path / "a_file"),
+           "directory": str(tmp_path / "a_dir")}.get(how, how)
+    config = json.loads(valid_inputs["config"].read_bytes())
+    config["paths"]["checkpoints"] = bad if target == "paths.checkpoints" else str(tmp_path / "ck")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = command_argv(valid_inputs, tmp_path, command)
+    if target.startswith("--"):
+        argv += [target, bad]  # the last of a repeated flag counts
+    before = sorted(tmp_path.rglob("*"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    (line,) = err.getvalue().splitlines()
+    assert (rc, line.startswith(f"configuration error: bad {target}")) == (2, True), line
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_readme_quickstart_commands_parse():
+    """Every finkey line of the README Quickstart is a valid command line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("finkey ")]
+    assert {argv[1] for argv in lines} == set(OUTPUTS)
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 def test_readme_config_passes_and_names_every_key(tmp_path):
@@ -712,9 +785,7 @@ class TestTrainCommand:
                 Document("extra", "Acme fell", "Acme fell", key_entities=["Zeta"], tag="fraud")
             ]
         save_corpus(docs, tmp_path / "corpus.jsonl")
-        _, cfg = write_config(tmp_path)
-        schema = "dataset-1" if task == "match" else "dataset-2"
-        path, _ = write_config(tmp_path, paths={**cfg["paths"], "schema": schema})
+        path, _ = write_config(tmp_path)
         with caplog.at_level(logging.WARNING):
             assert main(["train", "--task", task, "--config", str(path)]) == 0
         left_out = [r.getMessage() for r in caplog.records if "1 documents" in r.getMessage()]
@@ -725,8 +796,7 @@ class TestTrainCommand:
         # train skips those examples.
         save_corpus(mrc_corpus(40, seed=1), tmp_path / "corpus.jsonl")
         _, cfg = write_config(tmp_path)
-        path, _ = write_config(tmp_path, paths={**cfg["paths"], "schema": "dataset-2"},
-                               mrc={**cfg["mrc"], "max_len": 12, "epochs": 1})
+        path, _ = write_config(tmp_path, mrc={**cfg["mrc"], "max_len": 12, "epochs": 1})
         report_path = tmp_path / "report.json"
         assert main(["train", "--task", "mrc", "--config", str(path),
                      "--report", str(report_path)]) == 0
@@ -794,15 +864,13 @@ def run_full_pipeline(tmp_path, mode):
     """Train tiny models and drive the pipeline + evaluate commands."""
     if mode == "coarse":
         docs = matcher_corpus(30, seed=2, n_companies=8)
-        schema = "dataset-1"
     else:
         docs = mrc_corpus(30, seed=2)
-        schema = "dataset-2"
     for doc in docs:
         doc.sentiment = None
     corpus = tmp_path / "input.jsonl"
     save_corpus(docs, corpus)
-    return corpus, schema, docs
+    return corpus, docs
 
 
 class TestPipelineAndEvaluate:
@@ -812,14 +880,12 @@ class TestPipelineAndEvaluate:
         vocab_path = tmp_path / "vocab.tsv"
         # one shared vocabulary ties the pipeline checkpoints together
         assert main([
-            "build-vocab", "--corpus", str(tmp_path / "match.jsonl"),
-            "--schema", "dataset-1", "--out", str(vocab_path),
+            "build-vocab", "--corpus", str(tmp_path / "match.jsonl"), "--out", str(vocab_path),
         ]) == 0
         config_path, _ = write_config(
             tmp_path,
             paths={
                 "corpus": str(tmp_path / "match.jsonl"),
-                "schema": "dataset-1",
                 "checkpoints": str(tmp_path / "ckpts"),
                 "vocab": str(vocab_path),
             },
@@ -833,7 +899,7 @@ class TestPipelineAndEvaluate:
         assert main(["train", "--task", "sentiment", "--config", str(config_path)]) == 0
         assert main(["train", "--task", "match", "--config", str(config_path), "--seed", "4"]) == 0
 
-        inp, schema, docs = run_full_pipeline(tmp_path, "coarse")
+        inp, docs = run_full_pipeline(tmp_path, "coarse")
         out = tmp_path / "preds.jsonl"
         rc = main([
             "pipeline", "--config", str(config_path),
@@ -849,7 +915,7 @@ class TestPipelineAndEvaluate:
         save_corpus(matcher_corpus(30, seed=2, n_companies=8), gold)
         rc = main([
             "evaluate", "--predictions", str(out), "--gold", str(gold),
-            "--task", "entities", "--schema", "dataset-1",
+            "--task", "entities",
         ])
         assert rc == 0
         assert "entity P/R/F1" in capsys.readouterr().out
@@ -875,14 +941,12 @@ class TestPipelineAndEvaluate:
         _, _, _ = sentiment_setup
         vocab_path = tmp_path / "vocab.tsv"
         assert main([
-            "build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"),
-            "--schema", "dataset-1", "--out", str(vocab_path),
+            "build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(vocab_path),
         ]) == 0
         path, _ = write_config(
             tmp_path,
             paths={
                 "corpus": str(tmp_path / "corpus.jsonl"),
-                "schema": "dataset-1",
                 "checkpoints": str(tmp_path / "ckpts"),
                 "vocab": str(vocab_path),
             },

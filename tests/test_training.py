@@ -20,6 +20,7 @@ from finkey.tokenizer import vocab_from_texts
 from finkey.training import (
     Adam,
     Checkpoint,
+    CrossValResult,
     NumericalError,
     ParamStore,
     TrainConfig,
@@ -786,6 +787,7 @@ class TestNeighborhoodSearch:
             ({"epochs": ["a"]}, "bad search candidate epochs='a'"),
             ({"epochs": [1.5]}, "bad search candidate epochs=1.5"),
             ({"epochs": [1, 0]}, "bad search candidate epochs=0"),
+            ({"epochs": [[2], [2]]}, "bad search candidate epochs=[2]"),
             ({"batch_size": [4], "epochs": [1, 0]}, "bad search candidate epochs=0"),
             ({"loss": ["focal"]}, "bad search field 'loss': sentiment searches epochs"),
         ],
@@ -797,3 +799,20 @@ class TestNeighborhoodSearch:
         monkeypatch.setattr(finkey.training, "cross_validate", no_training)
         with pytest.raises(ValueError, match=re.escape(fragment)):
             neighborhood_search(small_cfg(), deltas, word_label_corpus(24), 2)
+
+    def test_repeated_candidate_trains_once(self, monkeypatch):
+        """A value given twice, or equal to the base value, is one grid point:
+        one cross_validate call and one table row."""
+        trained = []
+
+        def scored(dataset, cfg, k, **kwargs):
+            trained.append((cfg.epochs, cfg.batch_size))
+            return CrossValResult([0.5] * k, 0.5)
+
+        monkeypatch.setattr(finkey.training, "cross_validate", scored)
+        deltas = {"epochs": [2, 2, 1], "batch_size": [8, 8]}
+        result = neighborhood_search(small_cfg(epochs=1, batch_size=8), deltas,
+                                     word_label_corpus(24), 2)
+        assert trained == [(2, 8), (1, 8)]
+        assert [row.changes for row in result.table] == [
+            {"batch_size": 8, "epochs": 2}, {"batch_size": 8, "epochs": 1}]
