@@ -31,7 +31,7 @@ from .corpus import (  # noqa: E402,F401
 from .encoder import EncoderConfig, EncoderParams, bow_encode, forward, init_params  # noqa: E402,F401
 from .evaluation import (  # noqa: E402,F401
     EnsembleSpec,
-    ensemble_train_select,
+    ensemble_train,
     run_pipeline,
     vote_key_entities,
     vote_sentiment,

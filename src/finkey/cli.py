@@ -33,10 +33,10 @@ from .corpus import (
     parse_json,
 )
 from .encoder import EncoderConfig, json_type
-from .evaluation import EnsembleSpec, ensemble_train_select, run_pipeline
+from .evaluation import EnsembleSpec, ensemble_train, run_pipeline
 from .tasks import DEFAULT_MAX_SPAN_LEN, DEFAULT_TEMPLATE, TASKS, FocalConfig, build_question
 from .tasks import accuracy, entity_prf
-from .tokenizer import RESERVED_TOKENS, load_vocab, save_vocab, vocab_from_texts
+from .tokenizer import RESERVED_TOKENS, load_vocab, vocab_from_texts, vocab_lines
 from .training import (
     Checkpoint,
     NumericalError,
@@ -358,7 +358,7 @@ def cmd_build_vocab(args) -> int:
     vocab = vocab_from_texts(
         (d.cleaned_text for d in docs), min_freq=args.min_freq, max_size=args.max_size
     )
-    save_vocab(vocab, args.out)
+    _write(args.out, vocab_lines(vocab))
     print(f"wrote vocabulary of {vocab.size} tokens to {args.out}")
     return EXIT_OK
 
@@ -403,6 +403,8 @@ def cmd_crossval(args) -> int:
         "k": args.k,
         "fold_scores": result.fold_scores,
         "mean_score": result.mean_score,
+        "n_train_skipped": result.n_train_skipped,
+        "n_dev_skipped": result.n_dev_skipped,
         "train_config": tc.to_dict(),
         **_provenance(cfg, tc.seed),
     }
@@ -421,15 +423,17 @@ def cmd_ensemble(args) -> int:
     dataset = _task_dataset(values, args.task)
     train_set, dev_set = _holdout_split(dataset, values, args.task, tc.seed)
     kwargs = _train_kwargs(values, args.task)
-    members = ensemble_train_select(train_set, dev_set, tc, spec, **kwargs)
+    results = ensemble_train(train_set, dev_set, tc, spec, **kwargs)
+    members = [r.checkpoint for r in results]
     paths = _save_checkpoints(ckpt_dir, args.task, members)
     report = {
         "task": args.task,
         "seeds": list(spec.seeds),
         "top_m": spec.top_m,
         "members": [
-            {"seed": m.seed, "dev_score": m.dev_score, "checkpoint": p}
-            for m, p in zip(members, paths)
+            {"seed": m.seed, "dev_score": m.dev_score, "checkpoint": p,
+             "n_train_skipped": r.n_train_skipped, "n_dev_skipped": r.n_dev_skipped}
+            for m, p, r in zip(members, paths, results)
         ],
         **_provenance(cfg, tc.seed),
     }
@@ -578,7 +582,8 @@ def cmd_search(args) -> int:
         "best_score": result.best_score,
         "best_config": result.best_config.to_dict(),
         "table": [
-            {"changes": row.changes, "n_changed": row.n_changed, "mean_score": row.mean_score}
+            {"changes": row.changes, "n_changed": row.n_changed, "mean_score": row.mean_score,
+             "n_train_skipped": row.n_train_skipped, "n_dev_skipped": row.n_dev_skipped}
             for row in result.table
         ],
         **_provenance(cfg, tc.seed),

@@ -11,8 +11,8 @@ finite-difference gradient checks.  ``forward_batch``/``backward_batch``
 run (batch, T) id/mask arrays for any T up to max_len and update their
 intermediates in place; ``forward_inference`` runs each row over its real
 prefix only, and a pooled forward (heads that read the [CLS] row) cuts the
-last layer's queries to two rows.  The README (library layout) says why
-each of these keeps the outputs' bits and what was measured.
+last layer's queries to two rows.  The README (library layout) says which
+of these keep the outputs' bits, and what was measured.
 
 A frozen bag-of-features encoder (``bow_encode``) is also provided as the
 untrained counterpart for baseline classifiers.
@@ -390,13 +390,11 @@ def forward_batch(
     positions and the rest of the layer (queries, attention, output
     projection, layer norms, FFN) over the first min(2, T) positions only;
     those rows equal the full forward's.  Dropout masks are drawn at full
-    size and cut, so the generator advances as in the full forward.  Without
-    a cache the result has shape (batch, min(2, T), d_model).  With a cache
-    the result and the last layer's recorded intermediates have their full-T
-    shapes, with zeros in the other rows: backward_batch then sums over the
-    same shapes as after a full forward, and with an upstream gradient that
-    is zero on those rows it returns the full forward's gradients bit for
-    bit (README, encoder section).
+    size and cut, so the generator advances as in the full forward.  The
+    result, and the last layer's recorded query-side intermediates, have
+    min(2, T) rows; backward_batch runs that layer's row-wise work over
+    them and gives the full forward's gradients up to the grouping of its
+    sums over positions (README, encoder section).
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
@@ -451,8 +449,8 @@ def forward_batch(
         attn += lp.bo
         drop1 = None
         if use_dropout:
-            drop1 = _dropout_mask(config, *ids.shape, rng)
-            attn *= drop1[:, :rows]
+            drop1 = _dropout_mask(config, *ids.shape, rng)[:, :rows]
+            attn *= drop1
         attn += x[:, :rows]
         h1, ln1_aux = _layer_norm(attn, lp.ln1_g, lp.ln1_b)
         if cache is None:
@@ -470,18 +468,11 @@ def forward_batch(
         ff += lp.b2
         drop2 = None
         if use_dropout:
-            drop2 = _dropout_mask(config, *ids.shape, rng)
-            ff *= drop2[:, :rows]
+            drop2 = _dropout_mask(config, *ids.shape, rng)[:, :rows]
+            ff *= drop2
         ff += h1
         h2, ln2_aux = _layer_norm(ff, lp.ln2_g, lp.ln2_b)
         if cache is not None:
-            if rows < t:  # back to full-T shapes for backward_batch's sums
-                q, probs, ctx, h1, ff_pre, cdf, act, h2 = (
-                    _pad_rows(a, t) for a in (q, probs, ctx, h1, ff_pre, cdf, act, h2)
-                )
-                ln1_aux = tuple(_pad_rows(a, t) for a in ln1_aux)
-                ln2_aux = tuple(_pad_rows(a, t) for a in ln2_aux)
-                qh = _split_heads(q, config.n_heads)
             cache["layers"].append(
                 {
                     "x_in": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
@@ -492,14 +483,6 @@ def forward_batch(
             )
         x = h2
     return x
-
-
-def _pad_rows(a: np.ndarray, t: int) -> np.ndarray:
-    """A copy of ``a`` with its query axis (the second to last) filled up
-    with zeros to length ``t``."""
-    out = np.zeros((*a.shape[:-2], t, a.shape[-1]), a.dtype)
-    out[..., : a.shape[-2], :] = a
-    return out
 
 
 def weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -524,7 +507,9 @@ def backward_batch(
     Intermediates are updated in place with the operations, in the order,
     of the allocating expressions, so the bits are theirs; the 3-D
     ``X @ W.T`` products and every sum over positions are left as they are,
-    since regrouping them moves the last bits.
+    since regrouping them moves the last bits.  A pooled last layer's
+    query-side work runs over its recorded query rows; its keys and values
+    still get gradients at all T positions, and so does its input.
     """
     if grads is None:
         grads = _zero_params(config)
@@ -551,7 +536,6 @@ def backward_batch(
         gl.b1 += d_ff_pre.sum(axis=(0, 1))
         d_h1 += d_ff_pre @ lp.w1.T
 
-        # Likewise dx_layer and d_attn.
         dx_layer, d_g, d_b = _layer_norm_backward(d_h1, lp.ln1_g, c["ln1_aux"])
         gl.ln1_g += d_g
         gl.ln1_b += d_b
@@ -573,17 +557,19 @@ def backward_batch(
         d_q = _merge_heads(d_qh)
         d_k = _merge_heads(d_kh)
         d_v = _merge_heads(d_vh)
-        gl.wq += weight_grad(x_in, d_q)
+        rows = d_q.shape[1]  # T, or a pooled layer's query rows
+        gl.wq += weight_grad(x_in[:, :rows], d_q)
         gl.bq += d_q.sum(axis=(0, 1))
         gl.wk += weight_grad(x_in, d_k)
         gl.bk += d_k.sum(axis=(0, 1))
         gl.wv += weight_grad(x_in, d_v)
         gl.bv += d_v.sum(axis=(0, 1))
-        d_in = d_q @ lp.wq.T
-        d_in += d_k @ lp.wk.T
-        d_in += d_v @ lp.wv.T
-        dx_layer += d_in
-        dx = dx_layer
+        # At the query rows, residual + ((q + k) + v) with its operands
+        # swapped: IEEE addition commutes, so the bits are that sum's.
+        dx = d_k @ lp.wk.T
+        dx[:, :rows] += d_q @ lp.wq.T
+        dx += d_v @ lp.wv.T
+        dx[:, :rows] += dx_layer
 
     _scatter_add_rows(grads.embedding, cache["ids"], dx)
     return grads

@@ -23,7 +23,7 @@ from .tasks import (
     Task,
     build_question,
 )
-from .training import Checkpoint, EncoderConfig, TrainConfig, train
+from .training import Checkpoint, EncoderConfig, TrainConfig, TrainResult, train
 
 # Documents per pipeline block: each block makes one batched forward per
 # member, stage and length group, so larger blocks make fewer, larger calls
@@ -46,25 +46,23 @@ class EnsembleSpec:
         ])
 
 
-def ensemble_train_select(
+def ensemble_train(
     train_set,
     dev_set,
     base_cfg: TrainConfig,
     spec: EnsembleSpec,
     encoder: Optional[EncoderConfig] = None,
     **train_kwargs,
-) -> list[Checkpoint]:
+) -> list[TrainResult]:
     """Train one model per seed and return the top_m by dev score.
 
     Members are sorted by dev score descending with ties going to the
     smaller seed, so the selection is deterministic.
     """
-    checkpoints = []
-    for seed in spec.seeds:
-        cfg = replace(base_cfg, seed=seed)
-        checkpoints.append(train(train_set, dev_set, cfg, encoder=encoder, **train_kwargs).checkpoint)
-    checkpoints.sort(key=lambda c: (-c.dev_score, c.seed))
-    return checkpoints[: spec.top_m]
+    results = [train(train_set, dev_set, replace(base_cfg, seed=seed), encoder=encoder,
+                     **train_kwargs) for seed in spec.seeds]
+    results.sort(key=lambda r: (-r.checkpoint.dev_score, r.checkpoint.seed))
+    return results[: spec.top_m]
 
 
 def vote_sentiment(members: Sequence[SentimentPrediction]) -> SentimentPrediction:

@@ -115,11 +115,14 @@ def vocab_from_texts(texts: Iterable[str], min_freq: int = 1, max_size: int = 50
     return build_vocab(stream(), min_freq=min_freq, max_size=max_size)
 
 
+def vocab_lines(vocab: Vocab) -> Iterator[bytes]:
+    """The "token<TAB>id" lines of a vocabulary file, reserved tokens first."""
+    return (f"{tok}\t{i}\n".encode("utf-8") for i, tok in enumerate(vocab.id_to_token))
+
+
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
-    """Write "token<TAB>id" lines, reserved tokens first."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for i, tok in enumerate(vocab.id_to_token):
-            fh.write(f"{tok}\t{i}\n")
+    """Write the ``vocab_lines`` of ``vocab`` to ``path``."""
+    Path(path).write_bytes(b"".join(vocab_lines(vocab)))
 
 
 def load_vocab(path: str | Path) -> Vocab:

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -447,8 +447,8 @@ def _train_step(task: Task, model: ParamStore, enc_cfg: EncoderConfig, batch: En
     in exact arithmetic, and dropout draws its masks at ``max_len``, so the
     generator advances as at full length.  A pooled task's loss reads the
     [CLS] row only, so its last encoder layer runs pooled (forward_batch's
-    ``pooled``); the gradients are bit-identical to those of the full
-    forward.  The activation cache is
+    ``pooled``), backward too; the gradients are those of the full forward
+    up to the grouping of the sums over positions.  The activation cache is
     freed on return, before the next batch or the dev evaluation.
     """
     t = inference_length(batch.mask, enc_cfg.max_len)
@@ -556,6 +556,8 @@ def train(
 class CrossValResult:
     fold_scores: list[float]
     mean_score: float
+    n_train_skipped: list[int] = field(default_factory=list)  # per fold
+    n_dev_skipped: list[int] = field(default_factory=list)
 
 
 def cross_validate(
@@ -563,11 +565,11 @@ def cross_validate(
 ) -> CrossValResult:
     """k-fold cross-validation over documents (``document_folds``): each
     fold is held out once as the dev set."""
-    scores = []
-    for fold in document_folds(dataset, k, cfg.seed):
-        result = train(*holdout(dataset, fold), cfg, encoder=encoder, **train_kwargs)
-        scores.append(result.checkpoint.dev_score)
-    return CrossValResult(fold_scores=scores, mean_score=float(np.mean(scores)))
+    results = [train(*holdout(dataset, fold), cfg, encoder=encoder, **train_kwargs)
+               for fold in document_folds(dataset, k, cfg.seed)]
+    scores = [r.checkpoint.dev_score for r in results]
+    return CrossValResult(scores, float(np.mean(scores)), [r.n_train_skipped for r in results],
+                          [r.n_dev_skipped for r in results])
 
 
 @dataclass
@@ -575,6 +577,8 @@ class SearchRow:
     changes: dict
     n_changed: int
     mean_score: float
+    n_train_skipped: list[int]  # per fold
+    n_dev_skipped: list[int]
 
 
 @dataclass
@@ -640,9 +644,9 @@ def neighborhood_search(
         n_changed = sum(
             value != getattr(base_cfg, name) for name, value in overrides.items()
         )
-        rows.append(
-            (combo, cfg, SearchRow(overrides, n_changed, result.mean_score))
-        )
+        row = SearchRow(overrides, n_changed, result.mean_score, result.n_train_skipped,
+                        result.n_dev_skipped)
+        rows.append((combo, cfg, row))
 
     best_combo, best_cfg, best_row = min(
         rows, key=lambda r: (-r[2].mean_score, r[2].n_changed, r[0])

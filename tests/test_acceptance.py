@@ -30,7 +30,7 @@ from finkey.encoder import (
 )
 from finkey.evaluation import (
     EnsembleSpec,
-    ensemble_train_select,
+    ensemble_train,
     run_pipeline,
     vote_sentiment,
 )
@@ -113,25 +113,29 @@ def sentiment_run():
     return _timed("sentiment", build)
 
 
+def train_matcher(seed):
+    """The 7c matcher at a training seed: lr 1e-3 for 60 epochs.  At lr
+    3e-3 some seeds fall back to a loss of about ln 2 and mark every
+    entity key (README, known limitations)."""
+    docs = matcher_corpus(800, seed=21, n_companies=12)
+    tr_docs, dv_docs, te_docs = docs[:560], docs[560:680], docs[680:]
+    tr, _ = build_pair_dataset(tr_docs)
+    dv, _ = build_pair_dataset(dv_docs)
+    cfg = TrainConfig(
+        task="match", epochs=60, batch_size=16, learning_rate=1e-3, seed=seed,
+        max_len=32, loss="cross_entropy", threshold=0.5, clip_norm=5.0,
+    )
+    enc = EncoderConfig(
+        vocab_size=4, d_model=48, n_heads=4, n_layers=2, d_ff=192,
+        max_len=32, dropout_rate=0.0,
+    )
+    result = train(tr, dv, cfg, encoder=enc)
+    return result.checkpoint, te_docs
+
+
 @pytest.fixture(scope="session")
 def matcher_run():
-    def build():
-        docs = matcher_corpus(800, seed=21, n_companies=12)
-        tr_docs, dv_docs, te_docs = docs[:560], docs[560:680], docs[680:]
-        tr, _ = build_pair_dataset(tr_docs)
-        dv, _ = build_pair_dataset(dv_docs)
-        cfg = TrainConfig(
-            task="match", epochs=80, batch_size=16, learning_rate=3e-3, seed=5,
-            max_len=32, loss="cross_entropy", threshold=0.5, clip_norm=5.0,
-        )
-        enc = EncoderConfig(
-            vocab_size=4, d_model=48, n_heads=4, n_layers=2, d_ff=192,
-            max_len=32, dropout_rate=0.0,
-        )
-        result = train(tr, dv, cfg, encoder=enc)
-        return result.checkpoint, te_docs
-
-    return _timed("matcher", build)
+    return _timed("matcher", lambda: train_matcher(5))
 
 
 @pytest.fixture(scope="session")
@@ -170,7 +174,8 @@ def ensemble_run(sentiment_run):
         )
         vocab = vocab_from_texts(d.cleaned_text for d in tr)
         spec = EnsembleSpec(seeds=tuple(range(1, 7)), top_m=6)
-        members = ensemble_train_select(tr, dv, cfg, spec, encoder=enc, vocab=vocab)
+        results = ensemble_train(tr, dv, cfg, spec, encoder=enc, vocab=vocab)
+        members = [r.checkpoint for r in results]
         return members, te
 
     return _timed("ensemble", build)
@@ -516,21 +521,32 @@ def test_criterion_7b_transformer_beats_bow(sentiment_run):
         assert tx_acc - bow_acc >= 0.05
 
 
+def matcher_f1(matcher, te_docs):
+    preds, golds = [], []
+    for doc in te_docs:
+        scored = [(e, matcher.score_entity(e, doc.cleaned_text)) for e in doc.entity_list]
+        preds.append(set(detect_key_entities(scored, 0.5)))
+        golds.append(set(doc.key_entities))
+    return entity_prf(preds, golds).f1
+
+
 def test_criterion_7c_matcher_f1(matcher_run):
-    matcher, te_docs = matcher_run
     with criterion(
         7, "7c: matcher entity F1 >= 0.90 at threshold 0.5",
         charged=_fixture_seconds.get("matcher", 0.0),
     ):
-        preds, golds = [], []
-        for doc in te_docs:
-            scored = [
-                (e, matcher.score_entity(e, doc.cleaned_text)) for e in doc.entity_list
-            ]
-            preds.append(set(detect_key_entities(scored, 0.5)))
-            golds.append(set(doc.key_entities))
-        f1 = entity_prf(preds, golds).f1
+        f1 = matcher_f1(*matcher_run)
         print(f"  matcher test F1@0.5: {f1:.4f}")
+        assert f1 >= 0.90
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_criterion_7c_holds_at_other_seeds(seed):
+    """7c's bar at two more training seeds, so that 7c passing does not
+    rest on the luck of one seed."""
+    with criterion(7, f"7c at training seed {seed}: matcher entity F1 >= 0.90"):
+        f1 = matcher_f1(*train_matcher(seed))
+        print(f"  matcher test F1@0.5 at seed {seed}: {f1:.4f}")
         assert f1 >= 0.90
 
 

@@ -19,7 +19,7 @@ from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import init_head, task_for_head
-from finkey.tokenizer import save_vocab, vocab_from_texts
+from finkey.tokenizer import load_vocab, save_vocab, vocab_from_texts
 from finkey.training import Checkpoint, TrainConfig, save_checkpoint
 
 
@@ -128,6 +128,15 @@ class TestBuildVocab:
         assert rc == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "[PAD]\t0"
+
+    def test_missing_parent_directories_are_made(self, sentiment_setup, tmp_path):
+        out = tmp_path / "new" / "dir" / "vocab.tsv"
+        rc = main(["build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out)])
+        assert rc == 0
+        kept = tmp_path / "kept.tsv"
+        save_vocab(load_vocab(out), kept)
+        assert out.read_bytes() == kept.read_bytes()
+        assert sorted(p.name for p in out.parent.iterdir()) == ["vocab.tsv"]  # no temp file left
 
 
 # Bad inputs: (expected exit code, fragment of the one-line message).
@@ -803,6 +812,36 @@ class TestTrainCommand:
         report = json.loads(report_path.read_text())
         counts = [report[key] for key in ("n_train", "n_train_skipped", "n_dev", "n_dev_skipped")]
         assert counts == [32, 11, 8, 3]
+
+    @pytest.mark.parametrize("command", ["crossval", "ensemble", "search"])
+    def test_every_training_report_counts_skipped_examples(self, tmp_path, caplog, command):
+        # As above: each training run warns once for its train and once for
+        # its dev examples, and the report carries the same counts, per fold,
+        # member or grid point, in the order they trained.
+        save_corpus(mrc_corpus(40, seed=1), tmp_path / "corpus.jsonl")
+        _, cfg = write_config(tmp_path)
+        path, _ = write_config(tmp_path, mrc={**cfg["mrc"], "max_len": 12, "epochs": 1})
+        report_path = tmp_path / "report.json"
+        argv = [command, "--task", "mrc", "--config", str(path), "--report", str(report_path)]
+        with caplog.at_level(logging.WARNING):
+            assert main(argv + ([] if command == "ensemble" else ["--k", "2"])) == 0
+        warned = [tuple(map(int, m)) for r in caplog.records
+                  for m in re.findall(r"skipped (\d+) of (\d+) examples", r.getMessage())]
+        runs = list(zip(warned[::2], warned[1::2]))  # (train, dev) of each training run
+        report = json.loads(report_path.read_text())
+        if command == "crossval":
+            assert runs == [((7, 20), (7, 20))] * 2
+            rows = [report]
+        else:
+            rows = report["table"] if command == "search" else report["members"]
+        reported = []
+        for row in rows:
+            train, dev = row["n_train_skipped"], row["n_dev_skipped"]
+            reported += zip(train, dev) if command != "ensemble" else [(train, dev)]
+        if command == "ensemble":  # three seeds train on one split, the top two are kept
+            assert len(runs) == 3 and len(set(runs)) == 1
+            runs = runs[:2]
+        assert reported == [(train[0], dev[0]) for train, dev in runs]
 
     def test_bad_config_value_is_config_error(self, sentiment_setup, tmp_path):
         _, _, _ = sentiment_setup

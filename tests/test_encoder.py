@@ -271,7 +271,7 @@ class TestPooledForward:
         assert hidden.shape == (ids.shape[0], rows, cfg.d_model)
         assert np.array_equal(hidden[:, 0], forward_inference(params, cfg, ids, mask)[:, 0])
 
-    def test_query_rows_in_training_keep_full_shapes(self, vocab):
+    def test_query_rows_in_training_are_cut_to_two(self, vocab):
         cfg = tiny_config(vocab, dropout_rate=0.1)
         params = init_params(cfg, 0)
         ids = np.full((2, 8), 5, dtype=np.int64)
@@ -281,13 +281,20 @@ class TestPooledForward:
             rngs.append(np.random.default_rng(3))
             outs.append(forward_batch(params, cfg, ids, mask, training=True, rng=rngs[-1],
                                       cache=cache, pooled=pooled))
-        assert outs[0].shape == outs[1].shape
-        assert np.array_equal(outs[0][:, :2], outs[1][:, :2]) and not outs[0][:, 2:].any()
+        assert outs[0].shape == (2, 2, cfg.d_model)
+        assert np.array_equal(outs[0], outs[1][:, :2])
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
         cut, full = caches[0]["layers"][-1], caches[1]["layers"][-1]
-        for name in ("qh", "probs", "ctx", "h1", "ff_pre", "cdf", "act"):
-            assert cut[name].shape == full[name].shape, name
-            assert not cut[name][..., 2:, :].any(), name
+        for name in ("x_in", "kh", "vh"):  # keys and values keep all T rows
+            assert same_bits(cut[name], full[name]), name
+        query_side = {name: (cut[name], full[name]) for name in
+                      ("qh", "probs", "ctx", "h1", "ff_pre", "cdf", "act", "drop1", "drop2")}
+        for name in ("ln1_aux", "ln2_aux"):
+            pairs = enumerate(zip(cut[name], full[name]))
+            query_side.update((f"{name}[{i}]", pair) for i, pair in pairs)
+        for name, (a, b) in query_side.items():
+            assert a.shape[-2] == 2 and b.shape[-2] == 8, name
+            assert np.array_equal(a, b[..., :2, :]), name
 
 
 @st.composite
@@ -366,13 +373,15 @@ def reference_backward_batch(params, config, cache, d_hidden):
 
 
 class TestPooledTraining:
-    """A pooled training forward and backward give the gradient
-    bytes of the full forward when only the [CLS] rows get a gradient, and
-    backward_batch gives the bytes of the allocating reference backward."""
+    """A pooled training forward and backward give the full forward's [CLS]
+    rows and generator state, and its gradients up to the grouping of the
+    sums over positions, when only the [CLS] rows get a gradient; after a
+    full forward, backward_batch gives the bytes of the allocating
+    reference backward."""
 
     @given(pooled_training_batches())
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_gradients_byte_identical(self, setup):
+    def test_gradients_match_full_forward(self, setup):
         cfg, params, ids, mask, d_cls, seed = setup
         results = []
         for pooled in (True, False):
@@ -382,13 +391,17 @@ class TestPooledTraining:
             d_hidden = np.zeros_like(hidden)
             d_hidden[:, 0] = d_cls
             grads = backward_batch(params, cfg, cache, d_hidden)
-            results.append((hidden[:, 0], [g for _, g in grads.named()], rng.bit_generator.state))
+            results.append((hidden[:, 0], list(grads.named()), rng.bit_generator.state))
         (cls_cut, grads_cut, state_cut), (cls_full, grads_full, state_full) = results
         assert same_bits(cls_cut, cls_full)
-        assert all(same_bits(a, b) for a, b in zip(grads_cut, grads_full))
         assert state_cut == state_full
+        # Over 300 random setups the largest difference was 2.9e-14 in
+        # float64 and 1.1e-5 in float32.
+        rtol, atol = (1e-9, 1e-12) if cfg.dtype == "float64" else (1e-4, 3e-5)
+        for (name, cut), (_, full) in zip(grads_cut, grads_full):
+            np.testing.assert_allclose(cut, full, rtol=rtol, atol=atol, err_msg=name)
         reference = reference_backward_batch(params, cfg, cache, d_hidden)
-        assert all(same_bits(a, b) for a, (_, b) in zip(grads_full, reference.named()))
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(grads_full, reference.named()))
 
 
 def finite_difference_check(params, cfg, seq, upstream, atol=1e-8, rtol=1e-4):

@@ -12,7 +12,7 @@ from finkey.corpus import Document, Lexicon, PairExample, SentimentLabel, clean_
 from finkey.encoder import EncoderConfig
 from finkey.evaluation import (
     EnsembleSpec,
-    ensemble_train_select,
+    ensemble_train,
     run_pipeline,
     vote_key_entities,
     vote_sentiment,
@@ -258,9 +258,8 @@ def sentiment_members(shared_vocab):
     docs = tiny_corpus(40)
     cfg = TrainConfig(task="sentiment", epochs=6, batch_size=8, learning_rate=2e-3, seed=0, max_len=12)
     spec = EnsembleSpec(seeds=(1, 2, 3), top_m=3)
-    return ensemble_train_select(
-        docs[:32], docs[32:], cfg, spec, encoder=SMALL_ENC, vocab=shared_vocab
-    )
+    results = ensemble_train(docs[:32], docs[32:], cfg, spec, encoder=SMALL_ENC, vocab=shared_vocab)
+    return [r.checkpoint for r in results]
 
 
 class TestEnsembleTrainSelect:
@@ -273,9 +272,11 @@ class TestEnsembleTrainSelect:
         docs = tiny_corpus(40)
         cfg = TrainConfig(task="sentiment", epochs=2, batch_size=8, learning_rate=2e-3, seed=0, max_len=12)
         spec = EnsembleSpec(seeds=(1, 2, 3, 4), top_m=2)
-        kept = ensemble_train_select(docs[:32], docs[32:], cfg, spec, encoder=SMALL_ENC)
+        kept = [r.checkpoint for r in ensemble_train(docs[:32], docs[32:], cfg, spec,
+                                                     encoder=SMALL_ENC)]
         all_spec = EnsembleSpec(seeds=(1, 2, 3, 4), top_m=4)
-        everyone = ensemble_train_select(docs[:32], docs[32:], cfg, all_spec, encoder=SMALL_ENC)
+        everyone = [r.checkpoint for r in ensemble_train(docs[:32], docs[32:], cfg, all_spec,
+                                                         encoder=SMALL_ENC)]
         kept_seeds = {m.seed for m in kept}
         dropped = [m for m in everyone if m.seed not in kept_seeds]
         assert min(m.dev_score for m in kept) >= max(m.dev_score for m in dropped)
@@ -290,9 +291,9 @@ def matcher_members(shared_vocab):
     labeled = [p for p in pairs if p.label is not None]
     cfg = TrainConfig(task="match", epochs=4, batch_size=8, learning_rate=2e-3, seed=0, max_len=12)
     spec = EnsembleSpec(seeds=(1, 2, 3), top_m=3)
-    return ensemble_train_select(
-        labeled[:28], labeled[28:], cfg, spec, encoder=SMALL_ENC, vocab=shared_vocab
-    )
+    results = ensemble_train(labeled[:28], labeled[28:], cfg, spec, encoder=SMALL_ENC,
+                             vocab=shared_vocab)
+    return [r.checkpoint for r in results]
 
 
 def _biased(members, bias):
