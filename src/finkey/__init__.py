@@ -33,7 +33,6 @@ from .evaluation import (  # noqa: E402,F401
     EnsembleSpec,
     ensemble_train,
     run_pipeline,
-    vote_key_entities,
     vote_sentiment,
 )
 from .tasks import (  # noqa: E402,F401
@@ -41,7 +40,6 @@ from .tasks import (  # noqa: E402,F401
     FocalConfig,
     accuracy,
     build_question,
-    detect_key_entities,
     entity_prf,
     extract_span,
     predict_sentiment,

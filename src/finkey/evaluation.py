@@ -86,30 +86,6 @@ def vote_sentiment(members: Sequence[SentimentPrediction]) -> SentimentPredictio
     return SentimentPrediction(label=label, prob_negative=mean_prob)
 
 
-def vote_key_entities(
-    member_scores: Sequence[Sequence[tuple[str, float]]], score_threshold: float
-) -> list[str]:
-    """Entities marked key by a strict majority of ensemble members.
-
-    Each member contributes (entity, score) pairs over the same entity
-    list; an entity is kept when more than half of the members score it at
-    or above the threshold.  Output preserves the entity-list order.
-    """
-    if not 0.0 <= score_threshold <= 1.0:
-        raise ValueError("score_threshold must lie in [0, 1]")
-    if not member_scores:
-        raise ValueError("need at least one ensemble member")
-    entity_lists = [[e for e, _ in member] for member in member_scores]
-    if any(el != entity_lists[0] for el in entity_lists[1:]):
-        raise ValueError("ensemble members scored different entity lists")
-    kept = []
-    for i, entity in enumerate(entity_lists[0]):
-        votes = sum(member[i][1] >= score_threshold for member in member_scores)
-        if _majority(votes, len(member_scores)):
-            kept.append(entity)
-    return kept
-
-
 def _majority(votes, members: int):
     """The key-entity rule: more than half of ``members`` vote for (elementwise
     for an array of vote counts)."""
@@ -172,14 +148,14 @@ def _vote_pairs(
     """Each group's key entities by majority vote over the members, or the
     group's encoding error, a str.
 
-    The result is what vote_key_entities gives over every member's scores,
-    but the members run in order and each scores only the pairs whose vote
-    is still open: a pair is kept once a majority of all members scores it
-    at or above the threshold, and dropped once the members left cannot
-    make one.  The pairs are encoded (``_encodings``) before any forward.
-    A group with a pair that does not encode gets the first such error in
-    member order, then pair order, and none of its pairs is scored.  Adds
-    the scores made to ``counters["stage2_scores"]``.
+    A pair is key when a strict majority of the members score it at or
+    above the threshold.  The members run in order and each scores only the
+    pairs whose vote is still open: a pair is kept once that majority is
+    reached, and dropped once the members left cannot make one.  The pairs
+    are encoded (``_encodings``) before any forward.  A group with a pair
+    that does not encode gets the first such error in member order, then
+    pair order, and none of its pairs is scored.  Adds the scores made to
+    ``counters["stage2_scores"]``.
     """
     pairs = [x for group in groups for x in group]
     encodings = _encodings(task, members, pairs)

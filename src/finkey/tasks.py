@@ -7,9 +7,11 @@ key-entity decision (focal loss counters the key/non-key imbalance).
 Stage 3: question-conditioned span extraction with per-token start/end
 scores over the context segment.
 
-One ``Task`` per head kind holds the stage's encoding, training loss,
-batched prediction and dev metric; training, the pipeline and the
-single-text predictors (batches of one) all go through it.
+One ``Task`` per head kind holds the stage's encoding, logits, training
+loss, batched prediction and dev metric; training, the pipeline and the
+single-text predictors (batches of one) all go through it.  Training and
+prediction take the head's logits from the one ``logits`` method, in its
+row-wise form.
 
 Classical baseline heads (Gaussian naive Bayes, logistic regression, linear
 SVM) operate on frozen feature vectors and share the binary-label contract.
@@ -147,14 +149,6 @@ def focal_loss_from_logits(
         -a * g * p**g * (1.0 - p) * log_q + a * p ** (g + 1.0),
     )
     return loss, dz
-
-
-def detect_key_entities(scored: Sequence[tuple[str, float]], threshold: float) -> list[str]:
-    """Entities of (entity, score) pairs whose score reaches the threshold,
-    in input order."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    return [entity for entity, score in scored if score >= threshold]
 
 
 def build_question(tag: str, template: str = DEFAULT_TEMPLATE) -> str:
@@ -321,14 +315,15 @@ class Task:
     batched prediction and its dev metric.
 
     Training, cross-validation, the pipeline and the single-text predictors
-    all go through these operations.  ``loss_and_grad`` takes the training
-    forward's hidden states and returns (loss, head gradients, gradient on
-    the hidden states); ``predict`` takes inference hidden states from
-    ``forward_inference`` and returns one prediction per row.  The head's
-    matrix product runs row by row so that a row's prediction does not
-    depend on the batch; the elementwise steps after it run over all rows.
-    A ``pooled`` task's head reads the [CLS] row only, so ``run`` asks
-    ``forward_inference`` for a pooled forward.
+    all go through these operations.  ``logits`` is the one product of
+    hidden states with the head's weights: ``loss_and_grad`` (training
+    forward's hidden states in; loss, head gradients and gradient on the
+    hidden states out) and ``predict`` (``forward_inference`` hidden states
+    in, one prediction per row out) both call it.  It runs the product row
+    by row, so a row's logits do not depend on the batch; the elementwise
+    steps after it run over all rows.  A ``pooled`` task's head reads the
+    [CLS] row only, so ``run`` asks ``forward_inference`` for a pooled
+    forward.
     """
 
     name: ClassVar[str]
@@ -343,6 +338,10 @@ class Task:
     def target(self, item, seq: TokenSequence):
         """The training target of an encoded input, None if it has none;
         raises ValueError for an input that cannot be used."""
+        raise NotImplementedError
+
+    def logits(self, head, hidden):
+        """The head's scores of hidden states (B, T, d_model), row by row."""
         raise NotImplementedError
 
     def encode(self, items: Sequence, vocab: Vocab, max_len: int) -> Encoded:
@@ -377,11 +376,28 @@ class Task:
 
 
 @dataclass(frozen=True)
-class SentimentTask(Task):
+class _PooledTask(Task):
+    """A [CLS] head: ``logits`` reads each row's first position, and
+    ``_loss(logits, gold)`` gives the per-row losses and their gradient on
+    the logits."""
+
+    pooled = True
+
+    def loss_and_grad(self, head, hidden, batch):
+        """Mean of ``_loss`` over the rows."""
+        n, d = hidden.shape[0], hidden.shape[2]
+        losses, dz = self._loss(self.logits(head, hidden), batch.gold)
+        dz = (dz / n).astype(hidden.dtype)
+        d_hidden = np.zeros_like(hidden)
+        d_hidden[:, 0, :] = dz.reshape(n, -1) @ head.w.reshape(d, -1).T
+        return float(losses.mean()), {"w": hidden[:, 0, :].T @ dz, "b": dz.sum(axis=0)}, d_hidden
+
+
+@dataclass(frozen=True)
+class SentimentTask(_PooledTask):
     name = "sentiment"
     head_kind = "sentiment"
     head_cls = SentimentHead
-    pooled = True
 
     def segments(self, doc: Document):
         return (doc.cleaned_text,)
@@ -391,25 +407,21 @@ class SentimentTask(Task):
             return None
         return NEGATIVE_INDEX if doc.sentiment is SentimentLabel.NEGATIVE else POSITIVE_INDEX
 
-    def loss_and_grad(self, head, hidden, batch):
-        """Mean softmax cross-entropy of the [CLS] logits."""
-        pooled = hidden[:, 0, :]
-        logits = pooled @ head.w + head.b
+    def logits(self, head, hidden):
+        """(B, 2) class scores of the [CLS] rows."""
+        return (hidden[:, :1, :] @ head.w + head.b)[:, 0]
+
+    def _loss(self, logits, gold):
+        """Softmax cross-entropy."""
         logp = _log_softmax(logits)
-        rows = np.arange(hidden.shape[0])
-        loss = float(-logp[rows, batch.gold].mean())
-        dlogits = np.exp(logp)
-        dlogits[rows, batch.gold] -= 1.0
-        dlogits /= hidden.shape[0]
-        dlogits = dlogits.astype(hidden.dtype)
-        head_grads = {"w": pooled.T @ dlogits, "b": dlogits.sum(axis=0)}
-        d_hidden = np.zeros_like(hidden)
-        d_hidden[:, 0, :] = dlogits @ head.w.T
-        return loss, head_grads, d_hidden
+        rows = np.arange(len(gold))
+        dz = np.exp(logp)
+        dz[rows, gold] -= 1.0
+        return -logp[rows, gold], dz
 
     def predict(self, head, hidden, batch) -> list[SentimentPrediction]:
         """The label is negative exactly when prob_negative >= 0.5."""
-        logits = (hidden[:, :1, :] @ head.w + head.b)[:, 0]
+        logits = self.logits(head, hidden)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         return [
@@ -426,11 +438,10 @@ class SentimentTask(Task):
 
 
 @dataclass(frozen=True)
-class MatchTask(Task):
+class MatchTask(_PooledTask):
     name = "match"
     head_kind = "match"
     head_cls = MatchHead
-    pooled = True
     focal: FocalConfig = FocalConfig(gamma=0.0)  # gamma 0 is binary cross-entropy
     threshold: float = 0.5  # dev metric decision threshold
 
@@ -440,21 +451,17 @@ class MatchTask(Task):
     def target(self, ex: PairExample, seq):
         return ex.label
 
-    def loss_and_grad(self, head, hidden, batch):
-        """Mean focal loss of the [CLS] logit."""
-        pooled = hidden[:, 0, :]
-        z = pooled @ head.w + head.b[0]
-        losses, dz = focal_loss_from_logits(z, batch.gold, self.focal)
-        loss = float(losses.mean())
-        dz = (dz / hidden.shape[0]).astype(hidden.dtype)
-        head_grads = {"w": pooled.T @ dz, "b": np.array([dz.sum()], dtype=hidden.dtype)}
-        d_hidden = np.zeros_like(hidden)
-        d_hidden[:, 0, :] = dz[:, None] * head.w[None, :]
-        return loss, head_grads, d_hidden
+    def logits(self, head, hidden):
+        """(B,) key-entity scores of the [CLS] rows."""
+        return (hidden[:, :1, :] @ head.w)[:, 0] + head.b[0]
+
+    def _loss(self, logits, gold):
+        """Focal loss (``focal_loss_from_logits``)."""
+        return focal_loss_from_logits(logits, gold, self.focal)
 
     def predict(self, head, hidden, batch) -> list[float]:
         """Key-entity probability of each (entity, text) row."""
-        return expit((hidden[:, :1, :] @ head.w)[:, 0] + head.b[0]).tolist()
+        return expit(self.logits(head, hidden)).tolist()
 
     def dev_metric(self, scores, data: Encoded) -> float:
         """Entity F1 over documents, at the decision threshold."""
@@ -516,6 +523,11 @@ class SpanTask(Task):
         ).reshape(data.n, max_len)
         return data
 
+    def logits(self, head, hidden):
+        """(start, end) scores of every position, each of hidden's shape
+        without its last axis."""
+        return hidden @ head.w_start + head.b_start[0], hidden @ head.w_end + head.b_end[0]
+
     def loss_and_grad(self, head, hidden, batch):
         """Mean of the start and end cross-entropies, each softmax taken over
         the row's valid context positions only."""
@@ -524,20 +536,16 @@ class SpanTask(Task):
         d_hidden = np.zeros_like(hidden)
         head_grads = {}
         loss = 0.0
-        for scores_w, scores_b, gold, w_name, b_name in (
-            (head.w_start, head.b_start, batch.gold[:, 0], "w_start", "b_start"),
-            (head.w_end, head.b_end, batch.gold[:, 1], "w_end", "b_end"),
-        ):
-            scores = hidden @ scores_w + scores_b[0]
+        for which, scores, gold in zip(("start", "end"), self.logits(head, hidden), batch.gold.T):
             logp = _log_softmax(scores, batch.valid)
             loss += float(-0.5 * logp[rows, gold].mean())
             d_scores = np.exp(logp)
             d_scores[rows, gold] -= 1.0
             d_scores *= 0.5 / n
             d_scores = d_scores.astype(hidden.dtype)
-            head_grads[w_name] = weight_grad(hidden, d_scores[..., None])[:, 0]
-            head_grads[b_name] = np.array([d_scores.sum()], dtype=hidden.dtype)
-            d_hidden += d_scores[:, :, None] * scores_w[None, None, :]
+            head_grads["w_" + which] = weight_grad(hidden, d_scores[..., None])[:, 0]
+            head_grads["b_" + which] = np.array([d_scores.sum()], dtype=hidden.dtype)
+            d_hidden += d_scores[:, :, None] * getattr(head, "w_" + which)[None, None, :]
         return loss, head_grads, d_hidden
 
     def predict(self, head, hidden, batch) -> list[SpanPrediction]:
@@ -546,12 +554,8 @@ class SpanTask(Task):
         out = []
         for k, (ex, seq) in enumerate(zip(batch.items, batch.seqs)):
             t = inference_length(batch.mask[k : k + 1], batch.mask.shape[1])
-            h = hidden[k, :t]
             i, j = select_span(
-                h @ head.w_start + head.b_start[0],
-                h @ head.w_end + head.b_end[0],
-                batch.valid[k, :t],
-                self.max_span_len,
+                *self.logits(head, hidden[k, :t]), batch.valid[k, :t], self.max_span_len
             )
             text = ex.context[seq.offsets[i][0] : seq.offsets[j][1]]
             out.append(SpanPrediction(start_token=i, end_token=j, text=text))

@@ -47,7 +47,6 @@ from finkey.tasks import (
     build_question,
     classical_fit,
     classical_predict,
-    detect_key_entities,
     entity_prf,
     focal_loss_from_logits,
     init_head,
@@ -94,23 +93,25 @@ def _timed(key, fn):
 # ---------------------------------------------------------------------------
 
 
+def train_sentiment(seed):
+    """The 7a sentiment model at a training seed."""
+    docs = sentiment_corpus(700, seed=11)
+    tr, dv, te = docs[:500], docs[500:600], docs[600:]
+    cfg = TrainConfig(
+        task="sentiment", epochs=20, batch_size=32, learning_rate=2e-3,
+        seed=seed, max_len=24,
+    )
+    enc = EncoderConfig(
+        vocab_size=4, d_model=32, n_heads=4, n_layers=2, d_ff=64,
+        max_len=24, dropout_rate=0.1,
+    )
+    result = train(tr, dv, cfg, encoder=enc)
+    return result.checkpoint, tr, dv, te
+
+
 @pytest.fixture(scope="session")
 def sentiment_run():
-    def build():
-        docs = sentiment_corpus(700, seed=11)
-        tr, dv, te = docs[:500], docs[500:600], docs[600:]
-        cfg = TrainConfig(
-            task="sentiment", epochs=20, batch_size=32, learning_rate=2e-3,
-            seed=3, max_len=24,
-        )
-        enc = EncoderConfig(
-            vocab_size=4, d_model=32, n_heads=4, n_layers=2, d_ff=64,
-            max_len=24, dropout_rate=0.1,
-        )
-        result = train(tr, dv, cfg, encoder=enc)
-        return result.checkpoint, tr, dv, te
-
-    return _timed("sentiment", build)
+    return _timed("sentiment", lambda: train_sentiment(3))
 
 
 def train_matcher(seed):
@@ -481,16 +482,29 @@ def test_criterion_6_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def sentiment_accuracy(ckpt, te):
+    return np.mean([ckpt.predict_sentiment(d.cleaned_text).label == d.sentiment for d in te])
+
+
 def test_criterion_7a_sentiment_accuracy(sentiment_run):
     ckpt, _, _, te = sentiment_run
     with criterion(
         7, "7a: transformer held-out sentiment accuracy >= 0.95",
         charged=_fixture_seconds.get("sentiment", 0.0),
     ):
-        acc = np.mean(
-            [ckpt.predict_sentiment(d.cleaned_text).label == d.sentiment for d in te]
-        )
+        acc = sentiment_accuracy(ckpt, te)
         print(f"  sentiment held-out accuracy: {acc:.4f}")
+        assert acc >= 0.95
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_criterion_7a_holds_at_other_seeds(seed):
+    """7a's bar at the two training seeds after the fixture's, so that 7a
+    passing does not rest on the luck of one seed."""
+    with criterion(7, f"7a at training seed {seed}: sentiment accuracy >= 0.95"):
+        ckpt, _, _, te = train_sentiment(seed)
+        acc = sentiment_accuracy(ckpt, te)
+        print(f"  sentiment held-out accuracy at seed {seed}: {acc:.4f}")
         assert acc >= 0.95
 
 
@@ -514,11 +528,15 @@ def test_criterion_7b_transformer_beats_bow(sentiment_run):
         bow_acc = np.mean(
             [classical_predict(clf, f) == y for f, y in zip(features(te), labels(te))]
         )
-        tx_acc = np.mean(
-            [ckpt.predict_sentiment(d.cleaned_text).label == d.sentiment for d in te]
-        )
+        tx_acc = sentiment_accuracy(ckpt, te)
         print(f"  transformer {tx_acc:.4f} vs bag-of-words+LR {bow_acc:.4f}")
         assert tx_acc - bow_acc >= 0.05
+
+
+def detect_key_entities(scored, threshold):
+    """The key-entity rule for one model: the entities of (entity, score)
+    pairs whose score reaches the threshold, in input order."""
+    return [entity for entity, score in scored if score >= threshold]
 
 
 def matcher_f1(matcher, te_docs):

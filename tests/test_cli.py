@@ -20,7 +20,7 @@ from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import init_head, task_for_head
 from finkey.tokenizer import load_vocab, save_vocab, vocab_from_texts
-from finkey.training import Checkpoint, TrainConfig, save_checkpoint
+from finkey.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, **overrides):
@@ -774,6 +774,13 @@ class TestTrainCommand:
         rc = main(["train", "--task", "sentiment", "--config", config_path, "--seed", "9"])
         assert rc == 0
         assert (tmp_path / "ckpts" / "sentiment-seed9.ckpt").exists()
+
+    def test_seed_of_any_size_trains_and_loads_back(self, sentiment_setup, tmp_path):
+        _, config_path, _ = sentiment_setup
+        seed = 2**70
+        rc = main(["train", "--task", "sentiment", "--config", config_path, "--seed", str(seed)])
+        assert rc == 0
+        assert load_checkpoint(tmp_path / "ckpts" / f"sentiment-seed{seed}.ckpt").seed == seed
 
     def test_mrc_on_tagless_corpus_is_data_error(self, sentiment_setup):
         _, config_path, _ = sentiment_setup

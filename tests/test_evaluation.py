@@ -14,7 +14,6 @@ from finkey.evaluation import (
     EnsembleSpec,
     ensemble_train,
     run_pipeline,
-    vote_key_entities,
     vote_sentiment,
 )
 from finkey.tasks import EntityMetrics, MatchTask, SentimentPrediction, accuracy, entity_prf
@@ -168,6 +167,24 @@ class TestVoteSentiment:
             labels = [m.label for m in members]
             majority = NEG if labels.count(NEG) > labels.count(POS) else POS
             assert voted.label is majority
+
+
+def vote_key_entities(member_scores, score_threshold):
+    """The key-entity vote over every member's scores: entities marked key
+    by a strict majority of the members, each member giving (entity, score)
+    pairs over the same entity list, in entity-list order."""
+    if not 0.0 <= score_threshold <= 1.0:
+        raise ValueError("score_threshold must lie in [0, 1]")
+    if not member_scores:
+        raise ValueError("need at least one ensemble member")
+    entity_lists = [[e for e, _ in member] for member in member_scores]
+    if any(el != entity_lists[0] for el in entity_lists[1:]):
+        raise ValueError("ensemble members scored different entity lists")
+    return [
+        entity for i, entity in enumerate(entity_lists[0])
+        if 2 * sum(member[i][1] >= score_threshold for member in member_scores)
+        > len(member_scores)
+    ]
 
 
 class TestVoteKeyEntities:

@@ -21,13 +21,13 @@ from finkey.tasks import (
     build_question,
     classical_fit,
     classical_predict,
-    detect_key_entities,
     extract_span,
     focal_loss_from_logits,
     init_head,
     predict_sentiment,
     score_entity,
     select_span,
+    task_for_head,
 )
 from finkey.tokenizer import Vocab, encode_pair, vocab_from_texts
 
@@ -218,6 +218,14 @@ class TestFocalLoss:
             focal_loss(0.0, 1, FocalConfig())
         with pytest.raises(ValueError):
             focal_loss(0.5, 2, FocalConfig())
+
+
+def detect_key_entities(scored, threshold):
+    """The key-entity rule for one model: the entities of (entity, score)
+    pairs whose score reaches the threshold, in input order."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
+    return [entity for entity, score in scored if score >= threshold]
 
 
 class TestDetectKeyEntities:
@@ -626,6 +634,98 @@ class TestHeadPostProcessing:
             head.w *= dtype(scale)
             head.b[...] = rng.uniform(-scale, scale, head.b.shape)
             assert task.predict(head, hidden, None) == reference(head, hidden)
+
+
+def one_path_case(kind, dtype, seed):
+    """A task of a head kind, a head with random biases, random hidden
+    states (2-32 rows, 8 positions, d_model 48) and a batch of gold targets
+    (for spans, every position valid)."""
+    rng = np.random.default_rng(seed)
+    n, t, d = int(rng.integers(2, 33)), 8, 48
+    task = task_for_head(kind)()
+    head = init_head(kind, d, rng, dtype)
+    for name, value in head.named():
+        if name[0] == "b":
+            value[...] = rng.uniform(-1.0, 1.0, value.shape)
+    hidden = rng.standard_normal((n, t, d)).astype(dtype)
+    if kind == "span":
+        batch = encoded_batch(rng.integers(0, t, (n, 2)), np.ones((n, t), dtype=bool))
+    else:
+        batch = encoded_batch(rng.integers(0, 2, n))
+    return task, head, hidden, batch
+
+
+def as_tuple(logits):
+    return logits if isinstance(logits, tuple) else (logits,)
+
+
+def one_path_cases(*kinds):
+    return pytest.mark.parametrize(
+        "kind, dtype", [(k, dt) for k in kinds for dt in (np.float32, np.float64)]
+    )
+
+
+class TestOneHeadPath:
+    """``Task.logits`` is the one product with the head's weights: training's
+    loss and prediction both read it, and a row's logits do not depend on
+    its batch."""
+
+    @one_path_cases("sentiment", "match", "span")
+    def test_row_logits_equal_the_row_run_alone(self, kind, dtype):
+        for seed in range(20):
+            task, head, hidden, _ = one_path_case(kind, dtype, seed)
+            batched = as_tuple(task.logits(head, hidden))
+            for k in range(hidden.shape[0]):
+                alone = as_tuple(task.logits(head, hidden[k : k + 1]))
+                for b, a in zip(batched, alone):
+                    assert b.dtype == dtype
+                    assert b[k].tobytes() == a[0].tobytes()
+
+    @one_path_cases("sentiment", "match", "span")
+    def test_training_and_prediction_call_logits(self, kind, dtype, monkeypatch):
+        task, head, hidden, batch = one_path_case(kind, dtype, 0)
+        calls = []
+        logits = type(task).logits
+
+        def spy(self, head, hidden):
+            calls.append(hidden.shape)
+            return logits(self, head, hidden)
+
+        monkeypatch.setattr(type(task), "logits", spy)
+        task.loss_and_grad(head, hidden, batch)
+        assert calls == [hidden.shape]
+        if task.pooled:
+            task.predict(head, hidden, batch)
+            assert calls == [hidden.shape] * 2
+
+    @one_path_cases("sentiment", "match")
+    def test_pooled_loss_is_the_mean_of_row_losses_run_alone(self, kind, dtype):
+        """Byte-equal: the training loss of a row does not depend on its batch."""
+        for seed in range(20):
+            task, head, hidden, batch = one_path_case(kind, dtype, seed)
+            loss, _, _ = task.loss_and_grad(head, hidden, batch)
+            alone = [task.loss_and_grad(head, hidden[k : k + 1], batch.rows([k]))[0]
+                     for k in range(hidden.shape[0])]
+            assert loss == np.mean(alone)
+
+    @one_path_cases("sentiment", "match")
+    def test_pooled_loss_is_minus_log_of_predicted_gold_probability(self, kind, dtype):
+        """The mean -log p(gold) of ``predict``'s probabilities, to rtol 1e-12
+        in float64 and 1e-5 in float32, where ``predict`` rounds the
+        probabilities to float32.  The largest relative differences over these
+        cases were 8.0e-16 and 3.4e-7."""
+        rtol = 1e-5 if dtype == np.float32 else 1e-12
+        for seed in range(20):
+            task, head, hidden, batch = one_path_case(kind, dtype, seed)
+            loss, _, _ = task.loss_and_grad(head, hidden, batch)
+            preds = task.predict(head, hidden, batch)
+            if kind == "sentiment":  # class 0 is negative
+                p = np.array([pred.prob_negative for pred in preds])
+                p_gold = np.where(batch.gold == 0, p, 1.0 - p)
+            else:
+                p = np.array(preds)
+                p_gold = np.where(batch.gold == 1, p, 1.0 - p)
+            np.testing.assert_allclose(loss, -np.log(p_gold).mean(), rtol=rtol)
 
 
 class TestClassicalHeads:
