@@ -73,28 +73,23 @@ def _config_hash(cfg: dict | None) -> str | None:
 # The config file: one row per key
 # ---------------------------------------------------------------------------
 
-TRAINING = ("train", "crossval", "ensemble", "search")
-CONFIGURED = TRAINING + ("pipeline",)  # every command that reads --config
-
-
 class Setting(NamedTuple):
     """A key of the config file: its JSON type, whether it may be null, its
-    default, a check that raises ValueError for a value out of range, and
-    the commands that read it.  The rows of a config dataclass's fields
-    name it as ``owner``; its ``__post_init__`` checks their values."""
+    default and a check that raises ValueError for a value out of range.
+    The rows of a config dataclass's fields name it as ``owner``; its
+    ``__post_init__`` checks their values."""
 
     section: str
     key: str
     type: str
     nullable: bool
     default: object
-    commands: tuple[str, ...]
     check: Callable[[object], object] | None = None
     owner: type | None = None
 
 
 def _owned(section: str, owner: type, skip: tuple[str, ...] = ()) -> list[Setting]:
-    return [Setting(section, f.name, *json_type(f), f.default, TRAINING, owner=owner)
+    return [Setting(section, f.name, *json_type(f), f.default, owner=owner)
             for f in fields(owner) if f.name not in skip]
 
 
@@ -106,33 +101,32 @@ def _rule(ok: Callable[[object], bool], rule: str) -> Callable[[object], None]:
 
 
 SETTINGS = [
-    Setting("paths", "corpus", "string", True, None, TRAINING),
-    Setting("paths", "vocab", "string", True, None, TRAINING),
-    Setting("paths", "checkpoints", "string", False, "checkpoints", ("train", "ensemble")),
+    Setting("paths", "corpus", "string", True, None),
+    Setting("paths", "vocab", "string", True, None),
+    Setting("paths", "checkpoints", "string", False, "checkpoints"),
     # Each task section's max_len is the one place the length is set.
     *_owned("encoder", EncoderConfig, skip=("vocab_size", "max_len")),
     *[row for task in TASKS for row in (
-        Setting(task, "corpus", "string", True, None, TRAINING),
-        Setting(task, "dev_split_k", "integer", False, 10, ("train", "ensemble"),
-                _rule(lambda k: k >= 2, ">= 2")),
+        Setting(task, "corpus", "string", True, None),
+        Setting(task, "dev_split_k", "integer", False, 10, _rule(lambda k: k >= 2, ">= 2")),
         *[row for row in _owned(task, TrainConfig) if row.key in task_fields(task)],
     )],
     *_owned("match.focal", FocalConfig),
-    Setting("mrc", "template", "string", False, DEFAULT_TEMPLATE, CONFIGURED,
+    Setting("mrc", "template", "string", False, DEFAULT_TEMPLATE,
             lambda template: build_question("", template)),
-    Setting("mrc", "max_span_len", "integer", False, DEFAULT_MAX_SPAN_LEN, CONFIGURED,
+    Setting("mrc", "max_span_len", "integer", False, DEFAULT_MAX_SPAN_LEN,
             _rule(lambda n: n >= 1, ">= 1")),
-    Setting("ensemble", "seeds", "list of integers", False, list(range(1, 13)), ("ensemble",)),
-    Setting("ensemble", "top_m", "integer", False, 10, ("ensemble",)),
-    Setting("pipeline", "mode", "string", False, "coarse", ("pipeline",),
+    Setting("ensemble", "seeds", "list of integers", False, list(range(1, 13))),
+    Setting("ensemble", "top_m", "integer", False, 10),
+    Setting("pipeline", "mode", "string", False, "coarse",
             _rule(lambda mode: mode in ("coarse", "fine"), "'coarse' or 'fine'")),
-    Setting("pipeline", "match_threshold", "number", False, 0.5, ("pipeline",),
+    Setting("pipeline", "match_threshold", "number", False, 0.5,
             _rule(lambda t: 0 <= t <= 1, "in [0, 1]")),
-    Setting("pipeline", "sentiment_checkpoints", "list of strings", False, [], ("pipeline",)),
-    Setting("pipeline", "matcher_checkpoints", "list of strings", False, [], ("pipeline",)),
-    Setting("pipeline", "mrc_checkpoint", "string", True, None, ("pipeline",)),
-    Setting("pipeline", "lexicon", "string", True, None, ("pipeline",)),
-    Setting("search", "deltas", "object of lists", False, {}, ("search",)),
+    Setting("pipeline", "sentiment_checkpoints", "list of strings", False, []),
+    Setting("pipeline", "matcher_checkpoints", "list of strings", False, []),
+    Setting("pipeline", "mrc_checkpoint", "string", True, None),
+    Setting("pipeline", "lexicon", "string", True, None),
+    Setting("search", "deltas", "object of lists", False, {}),
 ]
 _JSON_TYPES = {
     "string": lambda v: isinstance(v, str),
@@ -359,6 +353,9 @@ def cmd_build_vocab(args) -> int:
         (d.cleaned_text for d in docs), min_freq=args.min_freq, max_size=args.max_size
     )
     _write(args.out, vocab_lines(vocab))
+    report = {"corpus": args.corpus, "out": args.out, "vocab_size": vocab.size,
+              "min_freq": args.min_freq, "max_size": args.max_size}
+    _write_report({**report, **_provenance(None, None)}, args.report)
     print(f"wrote vocabulary of {vocab.size} tokens to {args.out}")
     return EXIT_OK
 
@@ -606,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("--config", help="JSON run configuration")
-            p.add_argument("--seed", type=int, default=None, help="override the task seed")
         p.add_argument("--report", help="write a JSON report to this path")
 
     p = sub.add_parser("validate", help="validate a corpus file")
@@ -633,6 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", choices=("sentiment", "match", "mrc"), required=True)
         if needs_k:
             p.add_argument("--k", type=int, default=10)
+        p.add_argument("--seed", type=int, default=None, help="override the task seed")
         common(p)
         p.set_defaults(func=func)
 

@@ -114,13 +114,6 @@ class PipelineResult:
     counters: dict[str, int] = field(default_factory=dict)
 
 
-def _check_shared_vocab(checkpoints: list[Checkpoint]):
-    first = checkpoints[0].vocab.id_to_token
-    for ckpt in checkpoints[1:]:
-        if ckpt.vocab.id_to_token != first:
-            raise ValueError("pipeline checkpoints do not share a vocabulary")
-
-
 def _encodings(task: Task, members: Sequence[Checkpoint], items: list) -> list:
     """Each member's encoding of the items, made once per distinct member
     max_len (members share one vocabulary, so max_len fixes the encoding)."""
@@ -132,41 +125,42 @@ def _encodings(task: Task, members: Sequence[Checkpoint], items: list) -> list:
     return [encoded[member.encoder_config.max_len] for member in members]
 
 
-def _member_predictions(task: Task, members: Sequence[Checkpoint], items: list) -> list[list]:
-    """Each member's predictions over the items, in item order, with its
-    error message, a str, in place of each item that does not encode."""
-    out = []
-    for member, data in zip(members, _encodings(task, members, items)):
-        preds = iter(member.predict(task, data))
-        out.append([data.errors[i] if i in data.errors else next(preds) for i in range(len(items))])
-    return out
-
-
 def _vote_pairs(
-    task: MatchTask, members: Sequence[Checkpoint], groups: list[list], threshold: float, counters
-) -> list:
-    """Each group's key entities by majority vote over the members, or the
-    group's encoding error, a str.
+    members: Sequence[Checkpoint], negatives: list, threshold: float, lexicon, counters
+) -> None:
+    """Write key entities or an error onto the result of each negative
+    (DocResult, Document) pair.
 
-    A pair is key when a strict majority of the members score it at or
-    above the threshold.  The members run in order and each scores only the
-    pairs whose vote is still open: a pair is kept once that majority is
-    reached, and dropped once the members left cannot make one.  The pairs
-    are encoded (``_encodings``) before any forward.  A group with a pair
-    that does not encode gets the first such error in member order, then
-    pair order, and none of its pairs is scored.  Adds the scores made to
-    ``counters["stage2_scores"]``.
+    A document's entities are its entity list, else the lexicon's matches;
+    with neither it gets an error, and with none it gets ``[]`` (counted in
+    ``empty_entity_list``).  An entity is key when a strict majority of the
+    members score its pair at or above the threshold.  The members run in
+    order and each scores only the pairs whose vote is still open: a pair
+    is kept once that majority is reached, and dropped once the members
+    left cannot make one.  The pairs are encoded (``_encodings``) before
+    any forward.  A document with a pair that does not encode gets the
+    first such error in member order, then pair order, and none of its
+    pairs is scored.  Adds the scores made to ``stage2_scores``.
     """
-    pairs = [x for group in groups for x in group]
+    task = MatchTask()
+    groups, pairs = [], []  # (result, entities, rows in pairs) of each document to vote
+    for result, doc in negatives:
+        entities = doc.entity_list
+        if entities is None and lexicon is not None:
+            entities = rule_match_entities(doc.cleaned_text, lexicon)
+        if entities is None:
+            result.error = "document has no entity list and no lexicon was given"
+        elif not entities:
+            result.key_entities = []
+            counters["empty_entity_list"] += 1
+        else:
+            groups.append((result, entities, range(len(pairs), len(pairs) + len(entities))))
+            pairs += [PairExample(doc.id, e, doc.cleaned_text) for e in entities]
     encodings = _encodings(task, members, pairs)
-    spans, start = [], 0
-    for group in groups:
-        spans.append(range(start, start + len(group)))
-        start += len(group)
-    errors = [data.errors for data in encodings]
-    out = [next((e[i] for e in errors for i in span if i in e), None) for span in spans]
+    for result, _, span in groups:
+        result.error = next((d.errors[i] for d in encodings for i in span if i in d.errors), None)
     open_ = np.array(
-        [i for span, error in zip(spans, out) if error is None for i in span], dtype=np.int64
+        [i for result, _, span in groups if result.error is None for i in span], dtype=np.int64
     )
     # The row of each pair in each distinct encoding (rows skip the pairs that did not encode).
     row_of = {}
@@ -185,24 +179,33 @@ def _vote_pairs(
         votes = votes_for[open_]
         open_ = open_[~_majority(votes, n) & _majority(votes + (n - ran), n)]
     kept = _majority(votes_for, n)
-    for g, (span, group) in enumerate(zip(spans, groups)):
-        if out[g] is None:
-            out[g] = [x.entity for i, x in zip(span, group) if kept[i]]
-    return out
+    for result, entities, span in groups:
+        if result.error is None:
+            result.key_entities = [e for i, e in zip(span, entities) if kept[i]]
 
 
-def _stage2_inputs(doc: Document, mode: str, lexicon, template: str) -> list:
-    """The (entity, text) pairs or the one question of a negative document."""
-    if mode == "coarse":
-        entities = doc.entity_list
-        if entities is None and lexicon is not None:
-            entities = rule_match_entities(doc.cleaned_text, lexicon)
-        if entities is None:
-            raise ValueError("document has no entity list and no lexicon was given")
-        return [PairExample(doc.id, e, doc.cleaned_text) for e in entities]
-    if doc.tag is None:
-        raise ValueError("document has no tag for fine-grained extraction")
-    return [MrcExample(doc.id, build_question(doc.tag, template), doc.cleaned_text)]
+def _extract_spans(
+    task: SpanTask, member: Checkpoint, negatives: list, template: str, counters
+) -> None:
+    """Write the answer span or an error onto the result of each negative
+    (DocResult, Document) pair: one call over the tagged documents'
+    questions.  A document without a tag, or whose question does not
+    encode, gets an error.  Adds the spans predicted to ``stage2_scores``."""
+    tagged, questions = [], []
+    for result, doc in negatives:
+        if doc.tag is None:
+            result.error = "document has no tag for fine-grained extraction"
+        else:
+            tagged.append(result)
+            question = build_question(doc.tag, template)
+            questions.append(MrcExample(doc.id, question, doc.cleaned_text))
+    (data,) = _encodings(task, [member], questions)
+    spans = iter(member.predict(task, data))
+    counters["stage2_scores"] += data.n
+    for i, result in enumerate(tagged):
+        result.error = data.errors.get(i)
+        if result.error is None:
+            result.span_text = next(spans).text
 
 
 def run_pipeline(
@@ -221,18 +224,18 @@ def run_pipeline(
 
     Stage 1 votes the sentiment ensemble per document; positive documents
     are filtered out.  Stage 2 either votes key entities over the document
-    entity list (coarse mode; a lexicon can stand in for missing lists) or
-    extracts the tag-conditioned answer span (fine mode).  Each stage makes
-    one batched prediction per member over a block: its documents, then
-    the (entity, text) pairs or questions of its negative documents.  In
-    coarse mode each matcher scores only the pairs whose majority vote is
-    still open (``_vote_pairs``), which leaves every output as a vote over
-    all scores would; ``counters["stage2_scores"]`` counts the stage-2
-    predictions made.  Each text and pair is tokenized once per distinct
-    member max_len.  A document that cannot be encoded gets an error and
-    the rest of its block goes on.  Results keep the input order.  Bad
-    arguments, such as a fine-mode ``template`` without exactly one
-    ``{tag}``, raise ValueError before any document is read.
+    entity list (coarse mode, ``_vote_pairs``; a lexicon can stand in for
+    missing lists) or extracts the tag-conditioned answer span (fine mode,
+    ``_extract_spans``), and writes the outcome onto each negative
+    document's result: an error there leaves the rest of the block going
+    on.  Each stage makes one batched prediction per member over a block:
+    its documents, then the pairs or questions of its negative documents.
+    Each text and pair is tokenized once per distinct member max_len.
+    Results keep the input order.  ``processed``, ``predicted_negative``,
+    ``predicted_positive`` and ``errors`` are counted from the results;
+    ``stage2_scores`` counts the stage-2 predictions made.  Bad arguments,
+    such as a fine-mode ``template`` without exactly one ``{tag}``, raise
+    ValueError before any document is read.
     """
     if mode not in ("coarse", "fine"):
         raise ValueError("mode must be 'coarse' or 'fine'")
@@ -245,64 +248,38 @@ def run_pipeline(
             raise ValueError("coarse mode needs matcher checkpoints")
         if any(c.head_kind != "match" for c in matcher_members):
             raise ValueError("matcher checkpoints must be match models")
-        stage2_task, stage2_members = MatchTask(), list(matcher_members)
+        stage2_members = matcher_members
     else:
         if mrc_checkpoint is None:
             raise ValueError("fine mode needs an mrc checkpoint")
         if mrc_checkpoint.head_kind != "span":
             raise ValueError("mrc checkpoint must be a span model")
         build_question("", template)  # raises unless the template has one {tag}
-        stage2_task, stage2_members = SpanTask(max_span_len=max_span_len), [mrc_checkpoint]
-    _check_shared_vocab(list(sentiment_members) + stage2_members)
+        span_task, stage2_members = SpanTask(max_span_len=max_span_len), [mrc_checkpoint]
+    first = sentiment_members[0].vocab.id_to_token
+    if any(c.vocab.id_to_token != first for c in [*sentiment_members, *stage2_members]):
+        raise ValueError("pipeline checkpoints do not share a vocabulary")
     if not 0.0 <= match_threshold <= 1.0:
         raise ValueError("match_threshold must lie in [0, 1]")
 
-    counters = dict.fromkeys(
-        ("processed", "predicted_negative", "predicted_positive", "empty_entity_list", "errors",
-         "stage2_scores"), 0
-    )
+    counters = {"empty_entity_list": 0, "stage2_scores": 0}
     results = []
     for start in range(0, len(docs), _BLOCK_DOCS):
         block = docs[start : start + _BLOCK_DOCS]
-        stage1 = _member_predictions(SentimentTask(), sentiment_members, block)
-        pending = []  # (result, stage-2 inputs) of the block's negative documents
-        for i, doc in enumerate(block):
-            voted = vote_sentiment([preds[i] for preds in stage1])
-            result = DocResult(doc.id, voted.label, voted.prob_negative)
-            results.append(result)
-            counters["processed"] += 1
-            if voted.label is SentimentLabel.POSITIVE:
-                counters["predicted_positive"] += 1
-                continue
-            counters["predicted_negative"] += 1
-            try:
-                inputs = _stage2_inputs(doc, mode, lexicon, template)
-            except ValueError as exc:
-                result.error = str(exc)
-                counters["errors"] += 1
-                continue
-            if not inputs:
-                counters["empty_entity_list"] += 1
-                result.key_entities = []
-                continue
-            pending.append((result, inputs))
-
+        encodings = _encodings(SentimentTask(), sentiment_members, block)
+        stage1 = [m.predict(SentimentTask(), e) for m, e in zip(sentiment_members, encodings)]
+        negatives = []
+        for doc, preds in zip(block, zip(*stage1), strict=True):
+            voted = vote_sentiment(preds)
+            results.append(DocResult(doc.id, voted.label, voted.prob_negative))
+            if voted.label is SentimentLabel.NEGATIVE:
+                negatives.append((results[-1], doc))
         if mode == "coarse":
-            outcomes = _vote_pairs(
-                stage2_task, stage2_members, [inputs for _, inputs in pending], match_threshold,
-                counters,
-            )
+            _vote_pairs(stage2_members, negatives, match_threshold, lexicon, counters)
         else:
-            (outcomes,) = _member_predictions(
-                stage2_task, stage2_members, [inputs[0] for _, inputs in pending]
-            )
-            counters["stage2_scores"] += sum(not isinstance(p, str) for p in outcomes)
-        for (result, _), outcome in zip(pending, outcomes):
-            if isinstance(outcome, str):
-                result.error = outcome
-                counters["errors"] += 1
-            elif mode == "coarse":
-                result.key_entities = outcome
-            else:
-                result.span_text = outcome.text
+            _extract_spans(span_task, mrc_checkpoint, negatives, template, counters)
+    negative = sum(r.sentiment is SentimentLabel.NEGATIVE for r in results)
+    counters.update(processed=len(results), predicted_negative=negative,
+                    predicted_positive=len(results) - negative,
+                    errors=sum(r.error is not None for r in results))
     return PipelineResult(documents=results, counters=counters)

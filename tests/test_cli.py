@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import logging
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkey.cli import SETTINGS, TRAINING, _load_config, build_parser, main
+from finkey.cli import SETTINGS, _load_config, build_parser, main
 from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
@@ -137,6 +139,16 @@ class TestBuildVocab:
         save_vocab(load_vocab(out), kept)
         assert out.read_bytes() == kept.read_bytes()
         assert sorted(p.name for p in out.parent.iterdir()) == ["vocab.tsv"]  # no temp file left
+
+    def test_report_written(self, sentiment_setup, tmp_path):
+        out, report_path = tmp_path / "vocab.tsv", tmp_path / "r.json"
+        rc = main(["build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out),
+                   "--min-freq", "2", "--report", str(report_path)])
+        assert rc == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["vocab_size"] == load_vocab(out).size
+        assert (report["out"], report["min_freq"], report["max_size"]) == (str(out), 2, 50000)
+        assert report["tool_version"] and report["config_hash"] is None
 
 
 # Bad inputs: (expected exit code, fragment of the one-line message).
@@ -544,13 +556,14 @@ def test_every_setting_rejects_a_bad_value(row, data):
         tmp = Path(tmp)
         path, cfg = write_config(tmp)
         path.write_text(json.dumps(with_setting(cfg, row, value)), encoding="utf-8")
-        command = row.commands[0]
-        argv = [command, "--config", str(path), "--report", str(tmp / "report.json")]
-        if command in TRAINING:
+        argv = ["--config", str(path), "--report", str(tmp / "report.json")]
+        if row.section == "pipeline":
+            argv = ["pipeline", *argv, "--input", str(tmp / "corpus.jsonl"),
+                    "--output", str(tmp / "out.jsonl")]
+        else:
             task = row.section.split(".")[0]
-            argv += ["--task", task if task in ("sentiment", "match", "mrc") else "sentiment"]
-        if command == "pipeline":
-            argv += ["--input", str(tmp / "corpus.jsonl"), "--output", str(tmp / "out.jsonl")]
+            argv = ["train", *argv,
+                    "--task", task if task in ("sentiment", "match", "mrc") else "sentiment"]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main(argv) == 2
@@ -686,7 +699,7 @@ BAD_ARGV = [
 def command_argv(files: dict, tmp: Path, command: str) -> list[str]:
     """A command line that works over the valid inputs, writing into ``tmp``."""
     corpus, config = str(files["corpus"]), str(tmp / "config.json")
-    if command in TRAINING:
+    if command in ("train", "crossval", "ensemble", "search"):
         return [command, "--task", "sentiment", "--config", config,
                 *(["--k", "2"] if command in ("crossval", "search") else [])]
     return {
@@ -722,6 +735,28 @@ def test_bad_output_path_or_flag_exits_before_any_work(valid_inputs, tmp_path, c
     (line,) = err.getvalue().splitlines()
     assert (rc, line.startswith(f"configuration error: bad {target}")) == (2, True), line
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_every_flag_is_read_by_its_command():
+    """Each option of each command is read, as ``args.<dest>``, by the
+    function that runs the command: no flag is accepted and ignored."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    unread = [
+        f"{name} {action.option_strings[-1]}"
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest != "help" and not re.search(
+            rf"\bargs\.{action.dest}\b", inspect.getsource(parser.get_default("func")))
+    ]
+    assert unread == []
+
+
+def test_pipeline_takes_no_seed():
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--config", "c.json", "--input", "in.jsonl", "--output", "out.jsonl",
+              "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_readme_quickstart_commands_parse():

@@ -11,6 +11,7 @@ import finkey.training
 from finkey.corpus import Document, Lexicon, PairExample, SentimentLabel, clean_text
 from finkey.encoder import EncoderConfig
 from finkey.evaluation import (
+    DocResult,
     EnsembleSpec,
     ensemble_train,
     run_pipeline,
@@ -580,22 +581,23 @@ class TestLazyKeyEntityVote:
     ):
         levels = [0.0, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.75,
                   np.nextafter(1.0, 0.0), 1.0]
-        groups = [
-            [PairExample(f"d{g}", f"e{g}x{j}", "loss alpha beta") for j in range(size)]
+        docs = [
+            Document(f"d{g}", "loss alpha beta", "loss alpha beta",
+                     entity_list=[f"e{g}x{j}" for j in range(size)])
             for g, size in enumerate(sizes)
         ]
-        entities = [x.entity for group in groups for x in group]
+        entities = [e for doc in docs for e in doc.entity_list]
         members = [
             StubMatcher({e: data.draw(st.sampled_from(levels)) for e in entities})
             for _ in range(m)
         ]
+        results = [DocResult(doc.id, NEG, 1.0) for doc in docs]
         counters = {"stage2_scores": 0}
-        got = finkey.evaluation._vote_pairs(MatchTask(), members, groups, threshold, counters)
-        assert got == [
-            vote_key_entities(
-                [[(x.entity, s.scores[x.entity]) for x in group] for s in members], threshold
-            )
-            for group in groups
+        finkey.evaluation._vote_pairs(members, list(zip(results, docs)), threshold, None, counters)
+        assert [r.key_entities for r in results] == [
+            vote_key_entities([[(e, s.scores[e]) for e in doc.entity_list] for s in members],
+                              threshold)
+            for doc in docs
         ]
         # Member k is asked for exactly the pairs members 0..k-1 left open.
         for k, member in enumerate(members):
