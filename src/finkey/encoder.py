@@ -20,15 +20,19 @@ untrained counterpart for baseline classifiers.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
 import sys
 from dataclasses import Field, asdict, dataclass, field, fields
 from functools import lru_cache
+from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
+import scipy
 
 from .tokenizer import TokenSequence
 
@@ -221,6 +225,54 @@ def sinusoidal_positions(max_len: int, d_model: int, dtype=np.float32) -> np.nda
     table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
     table.setflags(write=False)
     return table
+
+
+_UFUNC_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_ufunc_module(directory: Path) -> Optional[ModuleType]:
+    """scipy's compiled module ``_UFUNC_MODULE``, loaded by its file path in
+    ``directory`` and entered in ``sys.modules`` under its own name, or None
+    where no file there loads."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_special_ufuncs{suffix}"
+        if not path.is_file():
+            continue
+        spec = importlib.util.spec_from_file_location(_UFUNC_MODULE, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_UFUNC_MODULE] = module
+            spec.loader.exec_module(module)
+        except ImportError:
+            sys.modules.pop(_UFUNC_MODULE, None)
+            continue
+        return module
+    return None
+
+
+def _scipy_ufuncs(directory: Path) -> tuple[np.ufunc, np.ufunc]:
+    """scipy's ``erf`` and ``expit``, the only two scipy functions finkey
+    calls, taken from ``_UFUNC_MODULE`` in ``directory`` (scipy's
+    ``special`` directory).
+
+    ``import scipy.special`` would run that package's ``__init__``, which
+    loads scipy's array-API layer and about 270 modules more; skipping it
+    shortens every process's start-up and shrinks its memory (the README's
+    encoder section has the figures).  A module already in ``sys.modules``
+    (loaded here or by ``scipy.special``) is reused, and a later
+    ``import scipy.special`` reuses the one loaded here, so these are the
+    very objects ``scipy.special`` exports.  Where the file or either name
+    is missing, they come from ``scipy.special`` itself.
+    """
+    module = sys.modules.get(_UFUNC_MODULE) or _load_ufunc_module(directory)
+    if hasattr(module, "erf") and hasattr(module, "expit"):
+        return module.erf, module.expit
+    from scipy.special import erf, expit
+
+    return erf, expit
+
+
+erf, expit = _scipy_ufuncs(Path(scipy.__file__).parent / "special")
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:

@@ -23,13 +23,13 @@ from dataclasses import asdict, dataclass, field
 from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import Document, MrcExample, PairExample, SentimentLabel
 from .encoder import (
     EncoderConfig,
     EncoderParams,
     check_config,
+    expit,
     forward_inference,
     inference_length,
     weight_grad,

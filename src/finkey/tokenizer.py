@@ -120,11 +120,6 @@ def vocab_lines(vocab: Vocab) -> Iterator[bytes]:
     return (f"{tok}\t{i}\n".encode("utf-8") for i, tok in enumerate(vocab.id_to_token))
 
 
-def save_vocab(vocab: Vocab, path: str | Path) -> None:
-    """Write the ``vocab_lines`` of ``vocab`` to ``path``."""
-    Path(path).write_bytes(b"".join(vocab_lines(vocab)))
-
-
 def load_vocab(path: str | Path) -> Vocab:
     tokens: list[str] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):

@@ -21,7 +21,7 @@ from finkey.corpus import Document, save_corpus
 from finkey.encoder import EncoderConfig, init_params
 from finkey.synthetic import matcher_corpus, mrc_corpus, sentiment_corpus
 from finkey.tasks import init_head, task_for_head
-from finkey.tokenizer import load_vocab, save_vocab, vocab_from_texts
+from finkey.tokenizer import load_vocab, vocab_from_texts, vocab_lines
 from finkey.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -135,9 +135,7 @@ class TestBuildVocab:
         out = tmp_path / "new" / "dir" / "vocab.tsv"
         rc = main(["build-vocab", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(out)])
         assert rc == 0
-        kept = tmp_path / "kept.tsv"
-        save_vocab(load_vocab(out), kept)
-        assert out.read_bytes() == kept.read_bytes()
+        assert out.read_bytes() == b"".join(vocab_lines(load_vocab(out)))
         assert sorted(p.name for p in out.parent.iterdir()) == ["vocab.tsv"]  # no temp file left
 
     def test_report_written(self, sentiment_setup, tmp_path):
@@ -606,7 +604,7 @@ def valid_inputs(tmp_path_factory):
     text = " ".join(d.cleaned_text for d in docs)
     for kind in ("sentiment", "match"):
         write_checkpoint(root / f"{kind}.ckpt", kind, text)
-    save_vocab(vocab_from_texts([text]), root / "vocab.tsv")
+    (root / "vocab.tsv").write_bytes(b"".join(vocab_lines(vocab_from_texts([text]))))
     (root / "lexicon.txt").write_text("acme\nbluepeak corp\n", encoding="utf-8")
     files = {kind: root / name for kind, (name, _) in INPUT_FILES.items()}
     files["match"] = root / "match.ckpt"

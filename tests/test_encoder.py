@@ -1,7 +1,14 @@
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -21,13 +28,16 @@ from finkey.encoder import (
     sinusoidal_positions,
     weight_grad,
 )
+import finkey.encoder
 from finkey.encoder import (
     _LN_EPS,
+    _UFUNC_MODULE,
     _layer_norm,
     _layer_norm_backward,
     _merge_heads,
     _normal_cdf,
     _scatter_add_rows,
+    _scipy_ufuncs,
     _softmax_backward,
     _softmax_last,
     _split_heads,
@@ -566,6 +576,46 @@ class TestErfFold:
                 assert same_bits(erf(-u[~nan]), -erf(u[~nan]))
             assert np.array_equal(np.isnan(got), nan)
             assert same_bits(got[~nan], want[~nan])
+
+
+def run_python(script: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports finkey from this
+    checkout; a failed assert there fails the test."""
+    src = str(Path(finkey.encoder.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+
+class TestScipyUfuncs:
+    """finkey takes erf and expit from scipy's compiled ufunc module, so that
+    importing it never runs scipy.special's package __init__."""
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        run_python("import sys, finkey, finkey.cli\n"
+                   "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+                   f"assert {_UFUNC_MODULE!r} in sys.modules")
+
+    @pytest.mark.parametrize("first", ["finkey", "scipy.special"])
+    def test_ufuncs_are_those_scipy_special_exports(self, first):
+        imports = ["import finkey.encoder, finkey.tasks", "import scipy.special"]
+        if first == "scipy.special":
+            imports.reverse()
+        run_python("\n".join(imports) + "\n"
+                   "assert finkey.encoder.erf is scipy.special.erf\n"
+                   "assert finkey.tasks.expit is scipy.special.expit")
+
+    @pytest.mark.parametrize("case", ["no file", "broken file", "names missing"])
+    def test_fallback_is_scipy_special(self, case, tmp_path, monkeypatch):
+        monkeypatch.delitem(sys.modules, _UFUNC_MODULE)
+        if case == "broken file":
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / f"_special_ufuncs{suffix}").write_bytes(b"not a shared object")
+        elif case == "names missing":
+            monkeypatch.setitem(sys.modules, _UFUNC_MODULE, types.ModuleType(_UFUNC_MODULE))
+        erf_, expit_ = _scipy_ufuncs(tmp_path)
+        assert erf_ is scipy.special.erf and expit_ is scipy.special.expit
+        if case != "names missing":
+            assert _UFUNC_MODULE not in sys.modules  # a failed load leaves no entry
 
 
 # The kernels as written before they worked in place, kept verbatim as the

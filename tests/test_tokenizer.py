@@ -19,9 +19,9 @@ from finkey.tokenizer import (
     encode_pair,
     encode_single,
     load_vocab,
-    save_vocab,
     tokenize,
     vocab_from_texts,
+    vocab_lines,
 )
 
 
@@ -272,7 +272,7 @@ class TestBuildVocab:
     def test_save_load_round_trip(self, tmp_path):
         vocab = vocab_from_texts(["alpha beta 世界", "beta gamma"])
         path = tmp_path / "vocab.tsv"
-        save_vocab(vocab, path)
+        path.write_bytes(b"".join(vocab_lines(vocab)))
         assert load_vocab(path) == vocab
 
 
