@@ -31,6 +31,7 @@ from .corpus import (
     build_pair_dataset,
     load_corpus,
     parse_json,
+    write_atomic,
 )
 from .encoder import EncoderConfig, json_type
 from .evaluation import EnsembleSpec, ensemble_train, run_pipeline
@@ -49,7 +50,6 @@ from .training import (
     save_checkpoint,
     task_fields,
     train,
-    write_atomic,
 )
 
 EXIT_OK = 0
@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("search", cmd_search, True),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--task", choices=("sentiment", "match", "mrc"), required=True)
+        p.add_argument("--task", choices=TASKS, required=True)
         if needs_k:
             p.add_argument("--k", type=int, default=10)
         p.add_argument("--seed", type=int, default=None, help="override the task seed")

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 logger = logging.getLogger(__name__)
 
@@ -229,6 +231,25 @@ def parse_json(data: bytes):
         raise CorpusError("not valid JSON: an integer has too many digits") from None
 
 
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path``: to a temporary name next to it, synced,
+    then moved into place, so a failed write leaves any file already at
+    ``path`` as it was; a ``path`` that is not a regular file is refused."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ValueError(f"{path} exists and is not a regular file")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_corpus(path: str | Path, schema: str) -> tuple[list[Document], ValidationReport]:
     """Load a JSON-lines corpus file.
 
@@ -271,8 +292,8 @@ def load_corpus(path: str | Path, schema: str) -> tuple[list[Document], Validati
 
 def save_corpus(docs: list[Document], path: str | Path) -> None:
     """Write documents back to JSON lines (raw text, so reload round-trips)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+
+    def lines():
         for doc in docs:
             record: dict = {"id": doc.id, "text": doc.raw_text}
             if doc.sentiment is not None:
@@ -283,7 +304,9 @@ def save_corpus(docs: list[Document], path: str | Path) -> None:
                 record["key_entities"] = doc.key_entities
             if doc.tag is not None:
                 record["tag"] = doc.tag
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            yield (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+
+    write_atomic(path, lines())
 
 
 def build_pair_dataset(docs: list[Document]) -> tuple[list[PairExample], int]:

@@ -672,38 +672,30 @@ def forward_inference(
     attn_mask: np.ndarray,
     *,
     pooled: bool = False,
-) -> np.ndarray:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inference-mode hidden states, each row run over its own real prefix.
 
     Rows are grouped by their own ``inference_length`` and each group runs
     through forward_batch in chunks of rows, so a row is computed at the
     same length whatever else is in the batch; with OpenBLAS a batch is then
     bit-identical to its rows run alone (README, encoder section).  Returns
-    shape (batch, T, d_model) with T the longest row length; positions past
-    a row's own length are zero.  Zero rows give an empty result.
-
-    With ``pooled`` the last layer runs its queries over the first
-    min(2, T) positions only (forward_batch's ``pooled``), for heads
-    that read the [CLS] row alone: the result has shape (batch, min(2, T),
-    d_model), where T is the width of ``ids``, and its [CLS] rows are
-    bit-identical to the unpooled ones.
+    one ``(rows, hidden)`` per chunk: its row positions and forward_batch's
+    output over them at the group's length t, over min(2, t) query rows with
+    ``pooled`` (for heads that read the [CLS] row alone).  Zero rows give [].
     """
     ids = np.asarray(ids)
     mask = np.asarray(attn_mask)
     if ids.ndim != 2 or not 1 <= ids.shape[1] <= config.max_len:
         raise ValueError(f"ids must have shape (batch, T) with 1 <= T <= {config.max_len}")
     lengths = _row_lengths(mask, ids.shape[1])
-    t_max = int(lengths.max(initial=min(ids.shape[1], _LENGTH_MULTIPLE)))
-    # Every group is at least min(T, 8) positions long, so it has these rows.
-    width = min(_POOLED_ROWS, ids.shape[1]) if pooled else t_max
-    hidden = np.zeros((ids.shape[0], width, config.d_model), dtype=config.np_dtype)
+    groups = []
     for t in np.unique(lengths):
         rows = np.flatnonzero(lengths == t)
         for i in range(0, rows.size, _INFERENCE_CHUNK):
             sel = rows[i : i + _INFERENCE_CHUNK]
             out = forward_batch(params, config, ids[sel, :t], mask[sel, :t], pooled=pooled)
-            hidden[sel, : out.shape[1]] = out
-    return hidden
+            groups.append((sel, out))
+    return groups
 
 
 def forward(

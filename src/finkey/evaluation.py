@@ -65,6 +65,12 @@ def ensemble_train(
     return results[: spec.top_m]
 
 
+def _majority(votes, members: int):
+    """The one majority rule: more than half of ``members`` vote for (elementwise
+    for an array of vote counts)."""
+    return 2 * votes > members
+
+
 def vote_sentiment(members: Sequence[SentimentPrediction]) -> SentimentPrediction:
     """Majority vote; exact ties fall back to the mean negative probability.
 
@@ -74,22 +80,14 @@ def vote_sentiment(members: Sequence[SentimentPrediction]) -> SentimentPredictio
     """
     if not members:
         raise ValueError("cannot vote over an empty member list")
+    n = len(members)
     n_negative = sum(m.label is SentimentLabel.NEGATIVE for m in members)
-    n_positive = len(members) - n_negative
-    mean_prob = sum(m.prob_negative for m in members) / len(members)
-    if n_negative > n_positive:
-        label = SentimentLabel.NEGATIVE
-    elif n_positive > n_negative:
-        label = SentimentLabel.POSITIVE
-    else:
-        label = SentimentLabel.NEGATIVE if mean_prob >= 0.5 else SentimentLabel.POSITIVE
+    mean_prob = sum(m.prob_negative for m in members) / n
+    negative, positive = _majority(n_negative, n), _majority(n - n_negative, n)
+    if not (negative or positive):  # a tie
+        negative = mean_prob >= 0.5
+    label = SentimentLabel.NEGATIVE if negative else SentimentLabel.POSITIVE
     return SentimentPrediction(label=label, prob_negative=mean_prob)
-
-
-def _majority(votes, members: int):
-    """The key-entity rule: more than half of ``members`` vote for (elementwise
-    for an array of vote counts)."""
-    return 2 * votes > members
 
 
 @dataclass

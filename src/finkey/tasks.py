@@ -31,7 +31,6 @@ from .encoder import (
     check_config,
     expit,
     forward_inference,
-    inference_length,
     weight_grad,
 )
 from .tokenizer import TokenSequence, Vocab, encode_pair, encode_single
@@ -318,12 +317,12 @@ class Task:
     all go through these operations.  ``logits`` is the one product of
     hidden states with the head's weights: ``loss_and_grad`` (training
     forward's hidden states in; loss, head gradients and gradient on the
-    hidden states out) and ``predict`` (``forward_inference`` hidden states
-    in, one prediction per row out) both call it.  It runs the product row
-    by row, so a row's logits do not depend on the batch; the elementwise
-    steps after it run over all rows.  A ``pooled`` task's head reads the
-    [CLS] row only, so ``run`` asks ``forward_inference`` for a pooled
-    forward.
+    hidden states out) and ``predict`` (the hidden states of one
+    ``forward_inference`` group in, one prediction per row out) both call
+    it.  It runs the product row by row, so a row's logits do not depend on
+    the batch; the elementwise steps after it run over all rows.  A
+    ``pooled`` task's head reads the [CLS] row only, so ``run`` asks
+    ``forward_inference`` for a pooled forward.
     """
 
     name: ClassVar[str]
@@ -370,9 +369,13 @@ class Task:
         )
 
     def run(self, params: EncoderParams, config: EncoderConfig, head, data: Encoded) -> list:
-        """Predictions for encoded inputs: one inference forward, then the head."""
-        hidden = forward_inference(params, config, data.ids, data.mask, pooled=self.pooled)
-        return self.predict(head, hidden, data)
+        """Predictions for encoded inputs, in input order: one inference
+        forward, then the head over each group of rows it returns."""
+        preds = {}
+        for rows, hidden in forward_inference(params, config, data.ids, data.mask,
+                                              pooled=self.pooled):
+            preds.update(zip(rows.tolist(), self.predict(head, hidden, data.rows(rows))))
+        return [preds[i] for i in range(data.n)]
 
 
 @dataclass(frozen=True)
@@ -549,13 +552,13 @@ class SpanTask(Task):
         return loss, head_grads, d_hidden
 
     def predict(self, head, hidden, batch) -> list[SpanPrediction]:
-        """The best span of each row, scored over the row's own length, as
-        when the row runs alone."""
+        """The best span of each row, scored over the hidden states' t
+        positions."""
+        t = hidden.shape[1]
         out = []
         for k, (ex, seq) in enumerate(zip(batch.items, batch.seqs)):
-            t = inference_length(batch.mask[k : k + 1], batch.mask.shape[1])
             i, j = select_span(
-                *self.logits(head, hidden[k, :t]), batch.valid[k, :t], self.max_span_len
+                *self.logits(head, hidden[k]), batch.valid[k, :t], self.max_span_len
             )
             text = ex.context[seq.offsets[i][0] : seq.offsets[j][1]]
             out.append(SpanPrediction(start_token=i, end_token=j, text=text))

@@ -15,15 +15,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import CorpusError, Document, parse_json
+from .corpus import CorpusError, Document, parse_json, write_atomic
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -300,23 +299,6 @@ def _check_header(
     if enc_cfg.max_len != train_cfg.max_len:
         raise ValueError(f"encoder_config.max_len {enc_cfg.max_len} differs from "
                          f"train_config.max_len {train_cfg.max_len}")
-
-
-def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path``: to a temporary name next to it, synced,
-    then moved into place, so a failed write leaves any file already at
-    ``path`` as it was."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.writelines(chunks)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +347,37 @@ class TestLoadCorpus:
         docs2, report2 = load_corpus(out, "dataset-1")
         assert report2.ok
         assert docs2 == docs
+
+    def test_failed_write_keeps_existing_corpus(self, tmp_path, monkeypatch):
+        docs = [Document(str(i), f"text {i}", f"text {i}") for i in range(5)]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(docs[:2], path)
+        before = path.read_bytes()
+
+        dumps = json.dumps
+        written = []
+
+        def fail_after_first_record(record, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(record)
+            return dumps(record, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", fail_after_first_record)
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus(docs, path)
+        monkeypatch.undo()
+        assert written
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_write_refuses_a_target_that_is_not_a_regular_file(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        with pytest.raises(ValueError, match="not a regular file"):
+            save_corpus([Document("a", "t", "t")], pipe)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_invalid_utf8_line_is_a_record_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

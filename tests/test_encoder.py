@@ -223,20 +223,26 @@ class TestTrimmedInference:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_real_positions_match_full_length_forward(self, batch):
         cfg, params, ids, mask, lengths = batch
-        t = inference_length(mask, cfg.max_len)
-        assert t == min(cfg.max_len, 8 * math.ceil(max(lengths) / 8))
-        trimmed = forward_inference(params, cfg, ids, mask)
+        t_max = inference_length(mask, cfg.max_len)
+        assert t_max == min(cfg.max_len, 8 * math.ceil(max(lengths) / 8))
+        groups = forward_inference(params, cfg, ids, mask)
         full = forward_batch(params, cfg, ids, mask)
-        assert trimmed.shape == (len(lengths), t, cfg.d_model)
+        assert sorted(r for rows, _ in groups for r in rows.tolist()) == list(range(len(lengths)))
         atol = 1e-12 if cfg.dtype == "float64" else 1e-5
-        for row, n_real in enumerate(lengths):
-            got, want = trimmed[row, :n_real], full[row, :n_real]
-            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
-            if cfg.d_model == 48:
-                # Exact only while the BLAS build blocks the probs @ vh
-                # contraction so that whole multiples of 8 padded keys add
-                # exact zeros; it held for OpenBLAS at d_head 12.
-                assert np.array_equal(got, want)
+        for rows, hidden in groups:
+            t = inference_length(mask[rows], cfg.max_len)
+            assert hidden.shape == (len(rows), t, cfg.d_model)
+            for k, row in enumerate(rows.tolist()):
+                assert inference_length(mask[row : row + 1], cfg.max_len) == t
+                got, want = hidden[k, : lengths[row]], full[row, : lengths[row]]
+                np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+                if cfg.d_model == 48 and cfg.dtype == "float32":
+                    # Exact only while the BLAS build blocks the probs @ vh
+                    # contraction so that whole multiples of 8 padded keys add
+                    # exact zeros; it held for OpenBLAS at d_head 12 in float32.
+                    # In float64 it does not: 62 of 166 random d_head-12
+                    # batches with max_len 9-40 had a row that differed.
+                    assert np.array_equal(got, want)
 
     def test_length_of_all_padding_batch_is_one_block(self):
         assert inference_length(np.zeros((3, 20)), 20) == 8
@@ -245,8 +251,7 @@ class TestTrimmedInference:
     def test_zero_rows_give_empty_result(self, vocab):
         cfg = tiny_config(vocab)
         ids = np.zeros((0, cfg.max_len), dtype=np.int64)
-        hidden = forward_inference(init_params(cfg, 0), cfg, ids, ids)
-        assert hidden.shape == (0, 8, cfg.d_model)
+        assert forward_inference(init_params(cfg, 0), cfg, ids, ids) == []
 
 
 @st.composite
@@ -277,9 +282,13 @@ class TestPooledForward:
         full = forward_batch(params, cfg, ids, mask)
         assert pooled.shape == (ids.shape[0], rows, cfg.d_model)
         assert np.array_equal(pooled, full[:, :rows])
-        hidden = forward_inference(params, cfg, ids, mask, pooled=True)
-        assert hidden.shape == (ids.shape[0], rows, cfg.d_model)
-        assert np.array_equal(hidden[:, 0], forward_inference(params, cfg, ids, mask)[:, 0])
+        groups = forward_inference(params, cfg, ids, mask, pooled=True)
+        full_groups = forward_inference(params, cfg, ids, mask)
+        assert len(groups) == len(full_groups)
+        for (sel, hidden), (full_sel, full_hidden) in zip(groups, full_groups):
+            assert np.array_equal(sel, full_sel)
+            assert hidden.shape == (len(sel), rows, cfg.d_model)
+            assert np.array_equal(hidden[:, 0], full_hidden[:, 0])
 
     def test_query_rows_in_training_are_cut_to_two(self, vocab):
         cfg = tiny_config(vocab, dropout_rate=0.1)

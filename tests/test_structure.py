@@ -39,26 +39,64 @@ def second_schema_names(text: str) -> list[str]:
     return [line for line in text.split("\n") if '"dataset-2"' in line]
 
 
+def nodes_in_functions(text: str):
+    """Every ast node of ``text`` but the function definitions, with the name
+    of the innermost function around it (None at module level)."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            yield child, function
+            yield from walk(child, function)
+
+    return walk(ast.parse(text), None)
+
+
 def head_products_outside_logits(path: str, text: str) -> list[str]:
     """Every ``X @ head.w*`` product in ``path`` that is not inside a
     function named ``logits``; each head's logits come from its
     ``Task.logits``."""
     bad = []
+    for node, function in nodes_in_functions(text):
+        right = getattr(node, "right", None)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and isinstance(right, ast.Attribute) and isinstance(right.value, ast.Name)
+                and right.value.id == "head" and right.attr.startswith("w")
+                and function != "logits"):
+            bad.append(f"{path}:{node.lineno}: {ast.unparse(node)} in {function}")
+    return bad
 
-    def walk(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                walk(child, child.name)
-                continue
-            right = getattr(child, "right", None)
-            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult)
-                    and isinstance(right, ast.Attribute) and isinstance(right.value, ast.Name)
-                    and right.value.id == "head" and right.attr.startswith("w")
-                    and function != "logits"):
-                bad.append(f"{path}:{child.lineno}: {ast.unparse(child)} in {function}")
-            walk(child, function)
 
-    walk(ast.parse(text), None)
+def length_rule_outside_encoder(name: str, text: str) -> list[str]:
+    """Lines of module ``name`` that name a part of the inference length
+    rule; only ``encoder.py``, which defines it, and ``training.py``, which
+    cuts its training batches by it, may."""
+    if name in ("encoder.py", "training.py"):
+        return []
+    return [f"{name}:{n}: {line}" for n, line in enumerate(text.split("\n"), start=1)
+            if re.search(r"\b(inference_length|_row_lengths|_LENGTH_MULTIPLE)\b", line)]
+
+
+_WRITE_MODE = re.compile(r"[rbt+]*[wax][rwaxbt+]*")
+
+
+def file_writes_outside_write_atomic(path: str, text: str) -> list[str]:
+    """Every call in ``path`` that opens a file for writing (``open`` with a
+    ``w``, ``a`` or ``x`` mode, ``write_text``, ``write_bytes``) outside a
+    function named ``write_atomic``, finkey's one file writer."""
+    bad = []
+    for node, function in nodes_in_functions(text):
+        if not isinstance(node, ast.Call) or function == "write_atomic":
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+        if name in ("write_text", "write_bytes") or name == "open" and any(
+            isinstance(m, ast.Constant) and isinstance(m.value, str)
+            and _WRITE_MODE.fullmatch(m.value) for m in modes
+        ):
+            bad.append(f"{path}:{node.lineno}: {ast.unparse(node)} in {function}")
     return bad
 
 
@@ -96,3 +134,31 @@ def test_one_head_math_path():
                "    def predict(self, head, h):\n        return h[:, 0] @ head.w_out\n")
     assert head_products_outside_logits("scratch.py", scratch) == [
         "scratch.py:5: h[:, 0] @ head.w_out in predict"]
+
+
+def test_one_length_rule():
+    bad = [line for path in sorted(SRC.glob("*.py"))
+           for line in length_rule_outside_encoder(path.name, path.read_text(encoding="utf-8"))]
+    assert not bad, ("the inference length rule named outside finkey/encoder.py and "
+                     f"finkey/training.py: take a group's length from its hidden states: {bad}")
+    scratch = "t = inference_length(batch.mask[k : k + 1], batch.mask.shape[1])\n"
+    assert length_rule_outside_encoder("tasks.py", scratch)
+    assert length_rule_outside_encoder("evaluation.py", "from .encoder import _LENGTH_MULTIPLE\n")
+    assert length_rule_outside_encoder("cli.py", "n = _row_lengths(mask, 8).max()\n")
+    assert not length_rule_outside_encoder("encoder.py", scratch)
+    assert not length_rule_outside_encoder("tasks.py", "t = my_inference_length_2\n")
+
+
+def test_one_file_writer():
+    bad = [line for path in sorted(SRC.glob("*.py"))
+           for line in file_writes_outside_write_atomic(path.name,
+                                                        path.read_text(encoding="utf-8"))]
+    assert not bad, f"a file written outside finkey.corpus.write_atomic: {bad}"
+    scratch = ("def save(docs, path):\n"
+               "    with path.open(\"w\", encoding=\"utf-8\") as fh:\n        fh.write(docs)\n"
+               "    open(path, mode=\"ab\")\n    open(path, \"x\")\n"
+               "    Path(path).write_text(docs)\n    path.write_bytes(b\"\")\n"
+               "    open(path)\n    path.open(\"rb\")\n"
+               "def write_atomic(path, chunks):\n    with path.open(\"wb\") as fh:\n        pass\n")
+    assert [line.split(":")[1] for line in file_writes_outside_write_atomic("s.py", scratch)] == [
+        "2", "4", "5", "6", "7"]

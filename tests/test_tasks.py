@@ -590,8 +590,11 @@ class TestPooledRun:
             assert task.pooled
             head = init_head(task.head_kind, cfg.d_model, rng)
             data = task.encode(items, vocab, cfg.max_len)
-            full = finkey.encoder.forward_inference(params, cfg, data.ids, data.mask)
-            assert task.run(params, cfg, head, data) == task.predict(head, full, data)
+            unpooled = [None] * data.n
+            for rows, full in finkey.encoder.forward_inference(params, cfg, data.ids, data.mask):
+                for i, pred in zip(rows.tolist(), task.predict(head, full, data.rows(rows))):
+                    unpooled[i] = pred
+            assert task.run(params, cfg, head, data) == unpooled
         assert not SpanTask.pooled
 
 
