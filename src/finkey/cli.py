@@ -211,9 +211,9 @@ def _load_config(path: str | None, seed: int | None = None) -> tuple[dict, dict]
 
 def _check_output(name: str, path: str, directory: bool = False) -> None:
     """Raise ConfigError naming ``name`` unless ``path`` can be written as a
-    file (or, with ``directory``, as a directory): it must be absent or of
-    that kind, and its nearest existing parent must be a directory.  A
-    device or pipe is refused, as ``write_atomic`` would replace it."""
+    file (or, with ``directory``, as a directory): absent or of that kind,
+    its nearest existing parent a directory.  Checked before any input is
+    read, so a bad flag fails early (``write_atomic`` checks on its own)."""
     out, kind = Path(path), "directory" if directory else "regular file"
     if out.exists() and not (out.is_dir() if directory else out.is_file()):
         raise ConfigError(f"bad {name} {path}: not a {kind}")

@@ -371,11 +371,12 @@ class Task:
     def run(self, params: EncoderParams, config: EncoderConfig, head, data: Encoded) -> list:
         """Predictions for encoded inputs, in input order: one inference
         forward, then the head over each group of rows it returns."""
-        preds = {}
+        preds = [None] * data.n
         for rows, hidden in forward_inference(params, config, data.ids, data.mask,
                                               pooled=self.pooled):
-            preds.update(zip(rows.tolist(), self.predict(head, hidden, data.rows(rows))))
-        return [preds[i] for i in range(data.n)]
+            for i, pred in zip(rows.tolist(), self.predict(head, hidden, data.rows(rows))):
+                preds[i] = pred
+        return preds
 
 
 @dataclass(frozen=True)
